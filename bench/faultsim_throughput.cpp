@@ -3,8 +3,8 @@
 // Grades the collapsed fault universe of a parallel multiplier (the largest
 // combinational CUT family in the model) against random patterns with every
 // combination of evaluation engine (reference / compiled / event, see
-// fault/engine.hpp) and scheduling (single-thread PPSFP, threaded block,
-// threaded lane-packed), reporting faults x patterns / second. The serial
+// fault/engine.hpp) and scheduling (single-thread PPSFP, threaded PPSFP
+// blocks), reporting faults x patterns / second. The serial
 // oracle is timed on a reduced pattern count (its throughput is per-pattern,
 // so the normalized number is comparable). Every configuration must produce
 // identical detection flags; any mismatch is a hard failure.
@@ -12,10 +12,10 @@
 // The engine x scheduling rows are pinned at lane width 1 with the
 // netlist-compile optimization passes off — the historical configuration —
 // so their keys stay comparable across revisions. A dedicated baseline row
-// re-measures the pre-multi-word lane grading loop (worklist scheduling,
-// W=1, no compile passes), and a single-thread sweep varies lane-block
-// width {1,4} x optimization {off,on} on the event engine, reporting the
-// blocked-SIMD + compile-opt speedup over that live baseline.
+// re-measures the retired fault-lane-packed grading loop (worklist
+// scheduling, W=1, no compile passes), and a single-thread sweep varies
+// lane-block width {1,4} x optimization {off,on} for the event engine's
+// pattern-parallel blocks, reporting their speedup over that live baseline.
 //
 // Also reports the average active-cone size per fault for the event engine —
 // the number of gates actually re-evaluated per fault injection, the quantity
@@ -204,11 +204,9 @@ int main(int argc, char** argv) {
   // Grades with an explicit engine/scheduling/lane/opt configuration.
   // num_threads == 1 runs the plan on the calling thread, so single-thread
   // rows measure pure engine throughput.
-  auto run = [&](Engine e, unsigned nthreads, bool lane_parallel,
-                 unsigned lanes, bool opt) {
+  auto run = [&](Engine e, unsigned nthreads, unsigned lanes, bool opt) {
     fault::SimOptions so;
     so.num_threads = nthreads;
-    so.lane_parallel = lane_parallel;
     so.engine = e;
     so.lanes = lanes;
     so.netlist_opt = opt ? 1 : 0;
@@ -233,20 +231,16 @@ int main(int argc, char** argv) {
     const std::string en = fault::engine_name(e);
     rows.push_back(time_config(
         "comb_" + en, "comb x1", e, faults.size(), n_patterns,
-        [&] { return run(e, 1, false, 1, false); }));
-    for (bool lanes : {false, true}) {
-      const char* sched = lanes ? "lane" : "block";
-      rows.push_back(time_config(
-          std::string(sched) + "_" + en,
-          std::string("threaded ") + sched, e, faults.size(), n_patterns,
-          [&] { return run(e, threads, lanes, 1, false); }));
-    }
+        [&] { return run(e, 1, 1, false); }));
+    rows.push_back(time_config(
+        "block_" + en, "threaded block", e, faults.size(), n_patterns,
+        [&] { return run(e, threads, 1, false); }));
   }
   for (BenchRow& r : rows) r.gates_after_opt = gates_plain;
 
-  // The PR-6 event-engine baseline: lane-packed grading driven by the
-  // worklist scheduler, W=1, no compile passes (best of 3 runs — this row
-  // is a speedup denominator).
+  // The retired event-engine baseline: fault-lane-packed grading driven by
+  // the worklist scheduler, W=1, no compile passes (best of 3 runs — this
+  // row is a speedup denominator).
   {
     BenchRow row = time_config(
         "lane_event_worklist", "lane worklist", Engine::kEvent, faults.size(),
@@ -256,10 +250,10 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  // Lane-block width x compile-opt sweep: single-thread fault-lane-packed
-  // grading on the event engine — one pass carries the good machine in lane
-  // 0 and 64*W-1 faulty machines in the remaining lanes, so W=4 grades 255
-  // faults per pass against each pattern block (best of 3 runs each).
+  // Lane-block width x compile-opt sweep: single-thread pattern-parallel
+  // PPSFP on the event engine — one pass carries 64*W patterns, so W=4
+  // re-simulates each fault's cone against 256 patterns at once (best of 3
+  // runs each).
   for (unsigned lanes : {1u, 4u}) {
     for (bool opt : {false, true}) {
       std::string key = "sweep_event_l" + std::to_string(lanes) +
@@ -268,7 +262,7 @@ int main(int argc, char** argv) {
                           (opt ? " +opt" : "");
       BenchRow row = time_config(
           std::move(key), std::move(label), Engine::kEvent, faults.size(),
-          n_patterns, [&] { return run(Engine::kEvent, 1, true, lanes, opt); },
+          n_patterns, [&] { return run(Engine::kEvent, 1, lanes, opt); },
           /*reps=*/3);
       row.lanes = lanes;
       row.netlist_opt = opt;
@@ -279,7 +273,7 @@ int main(int argc, char** argv) {
 
   // Fault-model sweep: the full collapsed universe of each taxonomy model
   // graded through the same engine front door (event engine, single-thread
-  // lane-packed, W=4, compile passes on — the fast configuration). Every
+  // PPSFP blocks, W=4, compile passes on — the fast configuration). Every
   // model rides the identical scheduling/lane machinery; only the
   // per-model activation semantics differ, so these rows price the
   // taxonomy itself.
@@ -301,7 +295,6 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     fault::SimOptions so;
     so.num_threads = 1;
-    so.lane_parallel = true;  // kTransition takes its block-major path
     so.engine = Engine::kEvent;
     so.lanes = 4;
     so.netlist_opt = 1;

@@ -311,7 +311,7 @@ ProgramEvaluation evaluate_program(GradingSession& session,
       // survive out.cuts growing.
       if (patterns) {
         plan.add_comb(ctx, universe.collapsed(), *patterns,
-                      options.sim.lane_parallel, out.cuts.back().coverage);
+                      out.cuts.back().coverage);
       } else {
         plan.add_seq(ctx, universe.collapsed(), *stimulus,
                      out.cuts.back().coverage);

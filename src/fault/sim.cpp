@@ -183,28 +183,16 @@ CoverageResult simulate_seq(const Netlist& nl,
   CoverageResult res;
   res.total = faults.size();
   res.detected_flags.assign(faults.size(), 0);
-  switch (detail::list_model(faults)) {
-    case FaultModel::kStuckAt:
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_seq_batches(ev, faults, 0, faults.size(), stimulus,
-                                  observe, reach, res.detected_flags.data());
-      });
-      break;
-    case FaultModel::kTransition:
-      throw std::invalid_argument(
-          "simulate_seq: transition faults are combinational-only "
-          "(launch/capture pattern pairs); use simulate_comb");
-    case FaultModel::kTransientSEU:
-    case FaultModel::kIntermittent:
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_windowed_seq_batches(ev, faults, 0, faults.size(),
-                                           stimulus, observe, reach,
-                                           res.detected_flags.data());
-      });
-      break;
+  if (detail::list_model(faults) == FaultModel::kTransition) {
+    throw std::invalid_argument(
+        "simulate_seq: transition faults are combinational-only "
+        "(launch/capture pattern pairs); use simulate_comb");
   }
+  with_engine(engine, nl, observe, lanes,
+              [&](auto& ev, const std::uint8_t* reach) {
+    detail::grade_seq_batches(ev, faults, 0, faults.size(), stimulus, observe,
+                              reach, res.detected_flags.data());
+  });
   res.recount();
   return res;
 }

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -194,89 +196,199 @@ void grade_comb_blocks(
   }
 }
 
-/// Lane-packed grading of faults [begin, end): lane 0 is the fault-free
-/// machine, lanes 1..63 carry faulty machines, each pattern is broadcast
-/// into all lanes. Batch-level fault dropping: a batch stops consuming
-/// patterns once every injected lane has been detected.
-template <class Ev>
-void grade_comb_lanes(Ev& ev, const std::vector<Fault>& faults,
-                      std::size_t begin, std::size_t end,
-                      const PatternSet& patterns, const ObserveSet& observe,
-                      const std::uint8_t* reach, std::uint8_t* flags) {
-  constexpr unsigned W = Ev::kWords;
-  constexpr std::size_t kFaultLanes = 64 * W - 1;  // lane 0 = good machine
-  for (std::size_t base = begin; base < end; base += kFaultLanes) {
-    const std::size_t batch = std::min<std::size_t>(kFaultLanes, end - base);
-    ev.clear_faults();
-    std::uint64_t batch_lanes[W] = {};
-    for (std::size_t j = 0; j < batch; ++j) {
-      const Fault& f = faults[base + j];
-      if (reach && !reach[f.site.gate]) continue;
-      ev.inject_lane(f.site, f.stuck_value, static_cast<unsigned>(j + 1));
-      batch_lanes[(j + 1) / 64] |= std::uint64_t{1} << ((j + 1) % 64);
-    }
-    std::uint64_t detected[W] = {};
-    auto all_done = [&] {
-      for (unsigned w = 0; w < W; ++w) {
-        if ((detected[w] & batch_lanes[w]) != batch_lanes[w]) return false;
-      }
-      return true;
-    };
-    for (std::size_t p = 0; p < patterns.size() && !all_done(); ++p) {
-      apply_pattern_broadcast(ev, patterns, p);
-      ev.eval();
-      for (netlist::NetId out : observe) {
-        for (unsigned w = 0; w < W; ++w) {
-          detected[w] |= ev.diff_word(out, w, 0);
-        }
-      }
-    }
-    for (std::size_t j = 0; j < batch; ++j) {
-      if ((detected[(j + 1) / 64] >> ((j + 1) % 64)) & 1u) {
-        flags[base + j] = 1;
-      }
-    }
-  }
-}
+/// Cycles per lock-step segment of grade_seq_batches: the granularity at
+/// which batches swap on the evaluator and lanes are compacted.
+inline constexpr std::size_t kSeqSegment = 16;
 
-/// simulate_seq's 63-faults-per-batch parallel-fault loop over [begin, end).
+/// Sequential grading of faults [begin, end): simulate_seq's parallel-fault
+/// loop. A batch packs 64 * kWords - 1 faulty machines beside the good
+/// machine in lane 0 and clocks them through the stimulus together.
+/// Stuck-at lanes stay forced throughout; transient-SEU / intermittent lanes
+/// toggle their force per cycle as their activation streams switch on/off.
+/// Releasing a force leaves any divergence it seeded in that lane's
+/// flip-flops, which is exactly the windowed semantics: a one-cycle flip can
+/// be caught many cycles later.
+///
+/// Two cuts stop the kernel from simulating lanes whose flags can no longer
+/// change. Neither can alter a flag, because a lane's verdict depends only
+/// on its own fault:
+///  * Early exit: a batch stops once every injected (reach-passing) lane is
+///    detected.
+///  * Lane compaction (PROOFS, Niermann/Cheng/Patel): the batches advance in
+///    lock-step segments of kSeqSegment cycles on one evaluator, which swaps
+///    per-batch DFF-state snapshots. After each segment, while the surviving
+///    lanes fit in fewer batches, the emptiest batch's survivors move into
+///    free lanes of the others, carrying their DFF-state bits, force and
+///    activation bit, and that batch dissolves.
+///
+/// Each cycle is one full sweep by choice: event-driven stepping visits ~41%
+/// of the register file's gates per cycle but costs ~2.4x more per visited
+/// gate, so it is no faster there and slower on the divider and the
+/// pipeline registers.
 template <class Ev>
 void grade_seq_batches(Ev& ev, const std::vector<Fault>& faults,
                        std::size_t begin, std::size_t end,
                        const SeqStimulus& stimulus, const ObserveSet& observe,
                        const std::uint8_t* reach, std::uint8_t* flags) {
   constexpr unsigned W = Ev::kWords;
-  constexpr std::size_t kFaultLanes = 64 * W - 1;  // lane 0 = good machine
-  const auto& inputs = ev.netlist().inputs();
-  for (std::size_t base = begin; base < end; base += kFaultLanes) {
-    const std::size_t batch = std::min<std::size_t>(kFaultLanes, end - base);
-    ev.clear_faults();
-    ev.reset_state(false);
-    for (std::size_t j = 0; j < batch; ++j) {
-      const Fault& f = faults[base + j];
-      if (reach && !reach[f.site.gate]) continue;
-      ev.inject_lane(f.site, f.stuck_value, static_cast<unsigned>(j + 1));
+  constexpr unsigned kLanes = 64 * W;  // lane 0 = good machine
+  constexpr std::uint32_t kFree = ~std::uint32_t{0};
+  struct Batch {
+    std::array<std::uint32_t, kLanes> fault;  // offset from begin, or kFree
+    std::uint64_t alive[W] = {};   // injected lanes not yet detected
+    std::uint64_t active[W] = {};  // lanes whose force is on
+    std::vector<std::uint64_t> state;  // DFF snapshot between segments
+    std::size_t survivors() const {
+      std::size_t n = 0;
+      for (unsigned w = 0; w < W; ++w) n += std::popcount(alive[w]);
+      return n;
     }
-    std::uint64_t detected[W] = {};
-    for (std::size_t c = 0; c < stimulus.size(); ++c) {
-      for (std::size_t k = 0; k < inputs.size(); ++k) {
-        ev.set_input(inputs[k], stimulus.input_bit(c, k));
+  };
+  // Calls fn(lane) for every set lane of a kWords-word mask.
+  auto for_lanes = [](const std::uint64_t* mask, auto&& fn) {
+    for (unsigned w = 0; w < W; ++w) {
+      for (std::uint64_t m = mask[w]; m != 0; m &= m - 1) {
+        fn(w * 64 + static_cast<unsigned>(std::countr_zero(m)));
       }
-      // Every input changes each cycle, so the frontier is netlist-wide.
-      ev.request_full_eval();
-      ev.step();
-      if (stimulus.observed(c)) {
+    }
+  };
+  if (begin >= end) return;
+  const bool windowed = faults[begin].model != FaultModel::kStuckAt;
+  std::vector<std::uint64_t> keys(windowed ? end - begin : 0);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = fault_stream_key(faults[begin + i]);
+  }
+
+  ev.clear_faults();
+  ev.reset_state(false);
+  std::vector<std::uint64_t> reset;
+  ev.save_state(reset);
+  std::vector<Batch> batches;
+  for (std::size_t base = begin; base < end; base += kLanes - 1) {
+    Batch b;
+    b.fault.fill(kFree);
+    const std::size_t n = std::min<std::size_t>(kLanes - 1, end - base);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (reach && !reach[faults[base + j].site.gate]) continue;
+      const unsigned lane = static_cast<unsigned>(j + 1);
+      b.fault[lane] = static_cast<std::uint32_t>(base + j - begin);
+      b.alive[lane / 64] |= std::uint64_t{1} << (lane % 64);
+    }
+    if (b.survivors() == 0) continue;  // nothing injected, nothing to grade
+    if (!windowed) std::copy(b.alive, b.alive + W, b.active);
+    b.state = reset;
+    batches.push_back(std::move(b));
+  }
+
+  const auto& inputs = ev.netlist().inputs();
+  const std::size_t none = batches.size();
+  std::size_t loaded = none;  // batch whose state and forces `ev` holds
+  auto unload = [&] {
+    if (loaded != none && batches[loaded].survivors() > 0) {
+      ev.save_state(batches[loaded].state);
+    }
+    loaded = none;
+  };
+  for (std::size_t s = 0; s < stimulus.size(); s += kSeqSegment) {
+    const std::size_t seg_end = std::min(stimulus.size(), s + kSeqSegment);
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+      Batch& b = batches[i];
+      if (b.survivors() == 0) continue;
+      if (loaded != i) {
+        unload();
+        ev.load_state(b.state);
+        ev.clear_faults();
+        std::uint64_t forced[W];
+        for (unsigned w = 0; w < W; ++w) forced[w] = b.alive[w] & b.active[w];
+        for_lanes(forced, [&](unsigned lane) {
+          const Fault& f = faults[begin + b.fault[lane]];
+          ev.inject_lane(f.site, f.stuck_value, lane);
+        });
+        loaded = i;
+      }
+      for (std::size_t c = s; c < seg_end; ++c) {
+        if (windowed) {
+          for_lanes(b.alive, [&](unsigned lane) {
+            const Fault& f = faults[begin + b.fault[lane]];
+            const bool on = fault_active(keys[b.fault[lane]], f.model, c);
+            std::uint64_t& act = b.active[lane / 64];
+            const std::uint64_t m = std::uint64_t{1} << (lane % 64);
+            if (on == ((act & m) != 0)) return;
+            if (on) {
+              ev.inject_lane(f.site, f.stuck_value, lane);
+            } else {
+              ev.release_lane(f.site, lane);
+            }
+            act ^= m;
+          });
+        }
+        for (std::size_t k = 0; k < inputs.size(); ++k) {
+          ev.set_input(inputs[k], stimulus.input_bit(c, k));
+        }
+        ev.request_full_eval();
+        ev.step();
+        if (!stimulus.observed(c)) continue;
+        std::uint64_t detected[W] = {};
         for (netlist::NetId out : observe) {
           for (unsigned w = 0; w < W; ++w) {
             detected[w] |= ev.diff_word(out, w, 0);
           }
         }
+        std::uint64_t left = 0;
+        for (unsigned w = 0; w < W; ++w) {
+          detected[w] &= b.alive[w];
+          b.alive[w] &= ~detected[w];
+          left |= b.alive[w];
+        }
+        for_lanes(detected, [&](unsigned lane) {
+          flags[begin + b.fault[lane]] = 1;
+        });
+        if (left == 0) break;  // early exit: every injected lane detected
       }
     }
-    for (std::size_t j = 0; j < batch; ++j) {
-      if ((detected[(j + 1) / 64] >> ((j + 1) % 64)) & 1u) {
-        flags[base + j] = 1;
+
+    // Lane compaction: dissolve the emptiest batch while the survivors fit
+    // in one batch fewer. Only live batches take lanes — a finished batch's
+    // snapshot stopped at its exit cycle.
+    for (;;) {
+      std::size_t live = 0, total = 0, from = none;
+      for (std::size_t i = 0; i < batches.size(); ++i) {
+        const std::size_t n = batches[i].survivors();
+        if (n == 0) continue;
+        ++live;
+        total += n;
+        if (from == none || n < batches[from].survivors()) from = i;
       }
+      if (live < 2 || total > (live - 1) * (kLanes - 1)) break;
+      unload();
+      Batch& src = batches[from];
+      std::size_t to = 0;
+      unsigned dl = 1;
+      for_lanes(src.alive, [&](unsigned sl) {
+        // Next free lane of a live batch other than the source.
+        for (;; ++dl) {
+          if (to == from || batches[to].survivors() == 0 || dl == kLanes) {
+            ++to;
+            dl = 0;  // the loop increment skips lane 0, the good machine
+          } else if (!((batches[to].alive[dl / 64] >> (dl % 64)) & 1u)) {
+            break;
+          }
+        }
+        Batch& dst = batches[to];
+        const std::uint64_t dm = std::uint64_t{1} << (dl % 64);
+        const unsigned sw = sl / 64, ss = sl % 64, dw = dl / 64;
+        dst.fault[dl] = src.fault[sl];
+        dst.alive[dw] |= dm;
+        dst.active[dw] = (dst.active[dw] & ~dm) |
+                         (((src.active[sw] >> ss) & 1u) ? dm : 0);
+        for (std::size_t k = 0; k < dst.state.size(); k += W) {
+          dst.state[k + dw] = (dst.state[k + dw] & ~dm) |
+                              (((src.state[k + sw] >> ss) & 1u) ? dm : 0);
+        }
+        ++dl;
+      });
+      std::fill(src.alive, src.alive + W, 0);
+      src.state = {};
     }
   }
 }
@@ -483,133 +595,6 @@ void grade_windowed_blocks(
         --undetected;
       }
       ev.clear_faults();
-    }
-  }
-}
-
-/// Lane-packed windowed grading of faults [begin, end): lane 0 is the
-/// fault-free machine, lanes 1.. carry faulty machines whose forces are
-/// toggled per pattern as their activation streams switch on/off (the
-/// release API keeps other lanes' forces intact). A fault's detection
-/// depends only on its own lane, so flags are independent of batch
-/// composition — chunk boundaries, thread count, and lane width all wash
-/// out.
-template <class Ev>
-void grade_windowed_lanes(Ev& ev, const std::vector<Fault>& faults,
-                          std::size_t begin, std::size_t end,
-                          const PatternSet& patterns,
-                          const ObserveSet& observe, const std::uint8_t* reach,
-                          std::uint8_t* flags) {
-  constexpr unsigned W = Ev::kWords;
-  constexpr std::size_t kFaultLanes = 64 * W - 1;  // lane 0 = good machine
-  std::vector<std::uint64_t> keys(end - begin);
-  for (std::size_t f = begin; f < end; ++f) {
-    keys[f - begin] = fault_stream_key(faults[f]);
-  }
-  std::vector<std::uint8_t> active(kFaultLanes);
-  for (std::size_t base = begin; base < end; base += kFaultLanes) {
-    const std::size_t batch = std::min<std::size_t>(kFaultLanes, end - base);
-    ev.clear_faults();
-    std::fill(active.begin(), active.begin() + batch, 0);
-    std::uint64_t batch_lanes[W] = {};
-    for (std::size_t j = 0; j < batch; ++j) {
-      if (reach && !reach[faults[base + j].site.gate]) continue;
-      batch_lanes[(j + 1) / 64] |= std::uint64_t{1} << ((j + 1) % 64);
-    }
-    std::uint64_t detected[W] = {};
-    auto all_done = [&] {
-      for (unsigned w = 0; w < W; ++w) {
-        if ((detected[w] & batch_lanes[w]) != batch_lanes[w]) return false;
-      }
-      return true;
-    };
-    for (std::size_t p = 0; p < patterns.size() && !all_done(); ++p) {
-      for (std::size_t j = 0; j < batch; ++j) {
-        const Fault& f = faults[base + j];
-        if (reach && !reach[f.site.gate]) continue;
-        const bool on =
-            fault_active(keys[base + j - begin], f.model, p);
-        if (on == static_cast<bool>(active[j])) continue;
-        if (on) {
-          ev.inject_lane(f.site, f.stuck_value, static_cast<unsigned>(j + 1));
-        } else {
-          ev.release_lane(f.site, static_cast<unsigned>(j + 1));
-        }
-        active[j] = on;
-      }
-      apply_pattern_broadcast(ev, patterns, p);
-      ev.eval();
-      for (netlist::NetId out : observe) {
-        for (unsigned w = 0; w < W; ++w) {
-          detected[w] |= ev.diff_word(out, w, 0);
-        }
-      }
-    }
-    for (std::size_t j = 0; j < batch; ++j) {
-      if ((detected[(j + 1) / 64] >> ((j + 1) % 64)) & 1u) {
-        flags[base + j] = 1;
-      }
-    }
-  }
-}
-
-/// Parallel-fault sequential grading with per-cycle activation toggling.
-/// Deactivating a lane's force mid-run releases only the FORCE — any state
-/// divergence the active window seeded persists in that lane's flip-flops,
-/// which is exactly the transient-SEU / intermittent semantics: a one-cycle
-/// flip can be caught many cycles later.
-template <class Ev>
-void grade_windowed_seq_batches(Ev& ev, const std::vector<Fault>& faults,
-                                std::size_t begin, std::size_t end,
-                                const SeqStimulus& stimulus,
-                                const ObserveSet& observe,
-                                const std::uint8_t* reach,
-                                std::uint8_t* flags) {
-  constexpr unsigned W = Ev::kWords;
-  constexpr std::size_t kFaultLanes = 64 * W - 1;  // lane 0 = good machine
-  const auto& inputs = ev.netlist().inputs();
-  std::vector<std::uint64_t> keys(end - begin);
-  for (std::size_t f = begin; f < end; ++f) {
-    keys[f - begin] = fault_stream_key(faults[f]);
-  }
-  std::vector<std::uint8_t> active(kFaultLanes);
-  for (std::size_t base = begin; base < end; base += kFaultLanes) {
-    const std::size_t batch = std::min<std::size_t>(kFaultLanes, end - base);
-    ev.clear_faults();
-    ev.reset_state(false);
-    std::fill(active.begin(), active.begin() + batch, 0);
-    std::uint64_t detected[W] = {};
-    for (std::size_t c = 0; c < stimulus.size(); ++c) {
-      for (std::size_t j = 0; j < batch; ++j) {
-        const Fault& f = faults[base + j];
-        if (reach && !reach[f.site.gate]) continue;
-        const bool on = fault_active(keys[base + j - begin], f.model, c);
-        if (on == static_cast<bool>(active[j])) continue;
-        if (on) {
-          ev.inject_lane(f.site, f.stuck_value, static_cast<unsigned>(j + 1));
-        } else {
-          ev.release_lane(f.site, static_cast<unsigned>(j + 1));
-        }
-        active[j] = on;
-      }
-      for (std::size_t k = 0; k < inputs.size(); ++k) {
-        ev.set_input(inputs[k], stimulus.input_bit(c, k));
-      }
-      // Every input changes each cycle, so the frontier is netlist-wide.
-      ev.request_full_eval();
-      ev.step();
-      if (stimulus.observed(c)) {
-        for (netlist::NetId out : observe) {
-          for (unsigned w = 0; w < W; ++w) {
-            detected[w] |= ev.diff_word(out, w, 0);
-          }
-        }
-      }
-    }
-    for (std::size_t j = 0; j < batch; ++j) {
-      if ((detected[(j + 1) / 64] >> ((j + 1) % 64)) & 1u) {
-        flags[base + j] = 1;
-      }
     }
   }
 }

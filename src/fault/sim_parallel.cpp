@@ -38,8 +38,7 @@ void run_plan(GradingPlan& plan, const SimOptions& options) {
 
 void GradingPlan::add_comb(const EngineContext& ctx,
                            const std::vector<Fault>& faults,
-                           const PatternSet& patterns, bool lane_parallel,
-                           CoverageResult& out) {
+                           const PatternSet& patterns, CoverageResult& out) {
   detail::require_combinational(ctx.netlist(), "GradingPlan::add_comb");
   out.total = faults.size();
   out.detected_flags.assign(faults.size(), 0);
@@ -70,65 +69,38 @@ void GradingPlan::add_comb(const EngineContext& ctx,
     return;
   }
 
-  const bool windowed = model == FaultModel::kTransientSEU ||
-                        model == FaultModel::kIntermittent;
-  if (windowed && lane_parallel) {
-    for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, faults.size());
-      tasks_.push_back([&ctx, &faults, &patterns, flags, begin, end] {
-        ctx.grade_with_evaluator([&](auto& ev) {
-          detail::grade_windowed_lanes(ev, faults, begin, end, patterns,
-                                       ctx.observe(), ctx.reach(), flags);
-        });
-      });
-    }
-    return;
-  }
-
-  if (!lane_parallel) {
-    // Fault-free responses, computed once here and shared read-only by every
-    // chunk task of this grading.
-    auto& good_out = good_storage_.emplace_back(patterns.block_count());
-    ctx.grade_with_evaluator([&](auto& good) {
-      constexpr unsigned W = std::decay_t<decltype(good)>::kWords;
-      const std::size_t n_blocks = patterns.block_count();
-      for (std::size_t b = 0; b < n_blocks; b += W) {
-        detail::apply_block_group(good, patterns, b);
-        good.eval();
-        for (unsigned w = 0; w < W && b + w < n_blocks; ++w) {
-          good_out[b + w].resize(ctx.observe().size());
-          for (std::size_t o = 0; o < ctx.observe().size(); ++o) {
-            good_out[b + w][o] = good.value_word(ctx.observe()[o], w);
-          }
+  // Fault-free responses, computed once here and shared read-only by every
+  // chunk task of this grading.
+  auto& good_out = good_storage_.emplace_back(patterns.block_count());
+  ctx.grade_with_evaluator([&](auto& good) {
+    constexpr unsigned W = std::decay_t<decltype(good)>::kWords;
+    const std::size_t n_blocks = patterns.block_count();
+    for (std::size_t b = 0; b < n_blocks; b += W) {
+      detail::apply_block_group(good, patterns, b);
+      good.eval();
+      for (unsigned w = 0; w < W && b + w < n_blocks; ++w) {
+        good_out[b + w].resize(ctx.observe().size());
+        for (std::size_t o = 0; o < ctx.observe().size(); ++o) {
+          good_out[b + w][o] = good.value_word(ctx.observe()[o], w);
         }
       }
-    });
-    for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, faults.size());
-      tasks_.push_back([&ctx, &faults, &patterns, &good_out, flags, begin,
-                        end, windowed] {
-        ctx.grade_with_evaluator([&](auto& ev) {
-          if (windowed) {
-            detail::grade_windowed_blocks(ev, faults, begin, end, patterns,
-                                          ctx.observe(), good_out,
-                                          ctx.reach(), flags);
-          } else {
-            detail::grade_comb_blocks(ev, faults, begin, end, patterns,
-                                      ctx.observe(), good_out, ctx.reach(),
-                                      flags);
-          }
-        });
-      });
     }
-    return;
-  }
-
+  });
+  const bool windowed = model != FaultModel::kStuckAt;
   for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
     const std::size_t end = std::min(begin + chunk, faults.size());
-    tasks_.push_back([&ctx, &faults, &patterns, flags, begin, end] {
+    tasks_.push_back([&ctx, &faults, &patterns, &good_out, flags, begin, end,
+                      windowed] {
       ctx.grade_with_evaluator([&](auto& ev) {
-        detail::grade_comb_lanes(ev, faults, begin, end, patterns,
-                                 ctx.observe(), ctx.reach(), flags);
+        if (windowed) {
+          detail::grade_windowed_blocks(ev, faults, begin, end, patterns,
+                                        ctx.observe(), good_out, ctx.reach(),
+                                        flags);
+        } else {
+          detail::grade_comb_blocks(ev, faults, begin, end, patterns,
+                                    ctx.observe(), good_out, ctx.reach(),
+                                    flags);
+        }
       });
     });
   }
@@ -148,20 +120,13 @@ void GradingPlan::add_seq(const EngineContext& ctx,
         "GradingPlan::add_seq: transition faults are combinational-only "
         "(launch/capture pattern pairs); use add_comb");
   }
-  const bool windowed = model != FaultModel::kStuckAt;
   const std::size_t chunk = chunk_faults(ctx);
   for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
     const std::size_t end = std::min(begin + chunk, faults.size());
-    tasks_.push_back([&ctx, &faults, &stimulus, flags, begin, end, windowed] {
+    tasks_.push_back([&ctx, &faults, &stimulus, flags, begin, end] {
       ctx.grade_with_evaluator([&](auto& ev) {
-        if (windowed) {
-          detail::grade_windowed_seq_batches(ev, faults, begin, end, stimulus,
-                                             ctx.observe(), ctx.reach(),
-                                             flags);
-        } else {
-          detail::grade_seq_batches(ev, faults, begin, end, stimulus,
-                                    ctx.observe(), ctx.reach(), flags);
-        }
+        detail::grade_seq_batches(ev, faults, begin, end, stimulus,
+                                  ctx.observe(), ctx.reach(), flags);
       });
     });
   }
@@ -198,7 +163,7 @@ CoverageResult simulate_comb_parallel(const netlist::Netlist& nl,
                           options.store);
   CoverageResult res;
   GradingPlan plan;
-  plan.add_comb(ctx, faults, patterns, options.lane_parallel, res);
+  plan.add_comb(ctx, faults, patterns, res);
   run_plan(plan, options);
   res.recount();
   return res;

@@ -1,18 +1,16 @@
-// Parallel fault-simulation engines: PPSFP lane packing + a fault-partitioned
-// thread pool.
+// Parallel fault-simulation engines: pattern-parallel PPSFP blocks, lane-
+// packed sequential batches, and a fault-partitioned thread pool.
 //
 // Both engines grade the same contract as sim.hpp and are cross-checked
 // against those oracles by the differential tests in
 // tests/test_fault_parallel.cpp:
 //
-//  * simulate_comb_parallel: combinational grading. With
-//    SimOptions::lane_parallel the evaluator's 64 bit-lanes carry the good
-//    machine (lane 0) plus 63 faulty machines per eval() — the same packing
-//    simulate_seq uses — so one pass over the pattern set grades 63 faults;
-//    without it, each worker runs the block-at-a-time PPSFP of simulate_comb
-//    over its fault slice against precomputed fault-free responses.
+//  * simulate_comb_parallel: combinational grading. Each worker runs the
+//    block-at-a-time PPSFP of simulate_comb over its fault slice (64 * lanes
+//    patterns per eval()) against fault-free responses precomputed once.
 //  * simulate_seq_parallel: sequential grading; workers run simulate_seq's
-//    63-faults-per-batch loop over disjoint fault slices.
+//    parallel-fault batches (the good machine in lane 0, 64 * lanes - 1
+//    faulty machines beside it) over disjoint fault slices.
 //
 // Both compose with the evaluation engines in engine.hpp: with a compiled
 // engine the netlist is compiled once and every worker runs its own
@@ -50,17 +48,15 @@ struct SimOptions {
   /// env var if set, else std::thread::hardware_concurrency(). Ignored when
   /// `pool` is set.
   unsigned num_threads = 0;
-  /// Pack 63 faults + the good machine into the 64 bit-lanes per eval() for
-  /// combinational grading (detection flags are identical either way).
-  bool lane_parallel = true;
   /// Evaluation engine (detection flags are identical for every choice).
   /// Defaults to the event-driven compiled engine, overridable via the
   /// SBST_ENGINE environment variable.
   Engine engine = default_engine();
   /// Lane-block width in 64-bit words for the compiled engines: 4 packs 255
-  /// faults + the good machine per lane-parallel eval(). 0 = default_lanes()
-  /// (SBST_LANES env var, else 4). Detection flags are identical for every
-  /// width; the reference engine ignores it.
+  /// faults + the good machine per sequential eval() and 256 patterns per
+  /// combinational one. 0 = default_lanes() (SBST_LANES env var, else 4).
+  /// Detection flags are identical for every width; the reference engine
+  /// ignores it.
   unsigned lanes = 0;
   /// Netlist-compile optimization passes (const prop, inverter fusion, dead
   /// sweep) when no pre-compiled netlist is lent in: 1 = on, 0 = off, -1 =
@@ -94,12 +90,11 @@ struct SimOptions {
 /// run() — the flags are the single source of truth.
 class GradingPlan {
  public:
-  /// Combinational grading of `faults` against `patterns` (lane-packed or
-  /// block PPSFP). Block scheduling precomputes the fault-free responses
-  /// eagerly (one pass, on the calling thread).
+  /// Combinational grading of `faults` against `patterns` (block PPSFP).
+  /// Precomputes the fault-free responses eagerly (one pass, on the calling
+  /// thread).
   void add_comb(const EngineContext& ctx, const std::vector<Fault>& faults,
-                const PatternSet& patterns, bool lane_parallel,
-                CoverageResult& out);
+                const PatternSet& patterns, CoverageResult& out);
 
   /// Sequential grading of `faults` against the clocked `stimulus`.
   void add_seq(const EngineContext& ctx, const std::vector<Fault>& faults,
@@ -127,7 +122,7 @@ class GradingPlan {
 
  private:
   std::vector<std::function<void()>> tasks_;
-  // Fault-free responses for block-scheduled gradings; deque keeps the
+  // Fault-free responses for combinational gradings; deque keeps the
   // references captured by queued tasks stable.
   std::deque<std::vector<std::vector<std::uint64_t>>> good_storage_;
   // Reference-evaluator baselines for transition gradings (same stable-

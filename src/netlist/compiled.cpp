@@ -1222,6 +1222,28 @@ void CompiledEvaluatorT<W>::reset_state(bool value) {
   if (state_changed && has_faults_) invalidate_undo();
 }
 
+template <unsigned W>
+void CompiledEvaluatorT<W>::save_state(std::vector<std::uint64_t>& out) const {
+  out.resize(cn_->dffs_.size() * W);
+  for (std::size_t k = 0; k < cn_->dffs_.size(); ++k) {
+    const NetId q = cn_->dffs_[k];
+    for (unsigned i = 0; i < W; ++i) out[k * W + i] = state_[q * W + i];
+  }
+}
+
+template <unsigned W>
+void CompiledEvaluatorT<W>::load_state(const std::vector<std::uint64_t>& in) {
+  if (in.size() != cn_->dffs_.size() * W) {
+    throw std::invalid_argument("load_state: snapshot size mismatch");
+  }
+  for (std::size_t k = 0; k < cn_->dffs_.size(); ++k) {
+    const NetId q = cn_->dffs_[k];
+    for (unsigned i = 0; i < W; ++i) state_[q * W + i] = in[k * W + i];
+  }
+  if (has_faults_) invalidate_undo();
+  full_pending_ = true;
+}
+
 template class CompiledEvaluatorT<1>;
 template class CompiledEvaluatorT<4>;
 

@@ -294,6 +294,13 @@ class CompiledEvaluatorT {
   void step();
   void reset_state(bool value = false);
 
+  /// Copies the state of the live DFFs into `out`: W words per flip-flop,
+  /// in compiled DFF order (swept DFFs are never read, so they carry none).
+  void save_state(std::vector<std::uint64_t>& out) const;
+  /// Restores a save_state() snapshot and marks the next eval() as a full
+  /// sweep: every lane of every DFF may have changed.
+  void load_state(const std::vector<std::uint64_t>& in);
+
   /// Marks the next eval() as a full sweep. Callers that change the whole
   /// stimulus at once (a lane-packed grader broadcasting a fresh pattern to
   /// every input) issue this instead of letting the worklist rediscover a

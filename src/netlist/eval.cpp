@@ -157,6 +157,19 @@ void Evaluator::reset_state(bool value) {
   for (NetId q : nl_->dffs()) state_[q] = w;
 }
 
+void Evaluator::save_state(std::vector<std::uint64_t>& out) const {
+  out.clear();
+  for (NetId q : nl_->dffs()) out.push_back(state_[q]);
+}
+
+void Evaluator::load_state(const std::vector<std::uint64_t>& in) {
+  const auto& dffs = nl_->dffs();
+  if (in.size() != dffs.size()) {
+    throw std::invalid_argument("load_state: snapshot size mismatch");
+  }
+  for (std::size_t i = 0; i < dffs.size(); ++i) state_[dffs[i]] = in[i];
+}
+
 std::uint64_t Evaluator::diff_mask(NetId net, unsigned ref_lane) const {
   const std::uint64_t v = values_[net];
   const std::uint64_t ref = (v >> ref_lane) & 1u ? ~std::uint64_t{0} : 0;

@@ -117,6 +117,14 @@ class Evaluator {
   /// or all-ones).
   void reset_state(bool value = false);
 
+  /// Copies the DFF state into `out`: kWords words per flip-flop, in
+  /// netlist().dffs() order. Sequential graders keep one snapshot per
+  /// fault batch and move lanes between snapshots.
+  void save_state(std::vector<std::uint64_t>& out) const;
+  /// Restores a save_state() snapshot. Net values are stale until the next
+  /// eval(), which (here always) sweeps the whole netlist.
+  void load_state(const std::vector<std::uint64_t>& in);
+
   /// Raw 64-lane word on a net after eval().
   std::uint64_t value(NetId net) const { return values_[net]; }
   /// Word `w` of a net's lane block (w must be 0 here).

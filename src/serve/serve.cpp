@@ -191,8 +191,8 @@ void print_engine_config(const fault::SimOptions& sim, std::FILE* err) {
                    (sim.netlist_opt < 0 ? fault::default_netlist_opt()
                                         : sim.netlist_opt != 0);
   std::fprintf(err,
-               "# config: engine %s, lanes %u (%u fault lanes/pass), "
-               "netlist-opt %s\n",
+               "# config: engine %s, lanes %u (%u fault lanes/sequential "
+               "pass), netlist-opt %s\n",
                fault::engine_name(sim.engine), lanes, 64 * lanes - 1,
                opt ? "on" : "off");
 }

@@ -618,17 +618,13 @@ TEST(EngineSelect, ParallelIdenticalAcrossEnginesThreadsAndLanes) {
       fault::simulate_serial(nl, u.collapsed(), ps, {}, Engine::kReference);
   for (Engine e : {Engine::kReference, Engine::kCompiled, Engine::kEvent}) {
     for (unsigned threads : {1u, 2u, 4u}) {
-      for (bool lanes : {false, true}) {
-        SimOptions opt;
-        opt.num_threads = threads;
-        opt.lane_parallel = lanes;
-        opt.engine = e;
-        const CoverageResult got =
-            fault::simulate_comb_parallel(nl, u.collapsed(), ps, {}, opt);
-        EXPECT_EQ(oracle.detected_flags, got.detected_flags)
-            << fault::engine_name(e) << "/" << threads << "t/"
-            << (lanes ? "lanes" : "blocks");
-      }
+      SimOptions opt;
+      opt.num_threads = threads;
+      opt.engine = e;
+      const CoverageResult got =
+          fault::simulate_comb_parallel(nl, u.collapsed(), ps, {}, opt);
+      EXPECT_EQ(oracle.detected_flags, got.detected_flags)
+          << fault::engine_name(e) << "/" << threads << "t";
     }
   }
 }

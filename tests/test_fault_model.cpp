@@ -26,6 +26,7 @@
 #include "rtlgen/multiplier.hpp"
 #include "rtlgen/pipeline.hpp"
 #include "rtlgen/shifter.hpp"
+#include "seq_oracle.hpp"
 #include "store/artifact_store.hpp"
 
 namespace fs = std::filesystem;
@@ -298,21 +299,18 @@ TEST(WindowedDeterminism, CombinationalMatrixIsBitwiseIdentical) {
          {Engine::kReference, Engine::kCompiled, Engine::kEvent}) {
       for (const unsigned lanes : {1u, 4u}) {
         for (const unsigned threads : {1u, 2u, 8u}) {
-          for (const bool lane_parallel : {false, true}) {
-            SimOptions so;
-            so.engine = engine;
-            so.lanes = lanes;
-            so.num_threads = threads;
-            so.lane_parallel = lane_parallel;
-            const std::string label =
-                std::string(fault_model_name(model)) + "/" +
-                engine_name(engine) + "/l" + std::to_string(lanes) + "/t" +
-                std::to_string(threads) + (lane_parallel ? "/lp" : "/blk");
-            expect_same_flags(oracle,
-                              simulate_comb_parallel(nl, u.collapsed(), ps,
-                                                     {}, so),
-                              nl, u.collapsed(), label.c_str());
-          }
+          SimOptions so;
+          so.engine = engine;
+          so.lanes = lanes;
+          so.num_threads = threads;
+          const std::string label =
+              std::string(fault_model_name(model)) + "/" +
+              engine_name(engine) + "/l" + std::to_string(lanes) + "/t" +
+              std::to_string(threads);
+          expect_same_flags(oracle,
+                            simulate_comb_parallel(nl, u.collapsed(), ps, {},
+                                                   so),
+                            nl, u.collapsed(), label.c_str());
         }
       }
     }
@@ -326,7 +324,9 @@ TEST(WindowedDeterminism, SequentialMatrixIsBitwiseIdentical) {
   for (const FaultModel model :
        {FaultModel::kTransientSEU, FaultModel::kIntermittent}) {
     const FaultUniverse u(nl, model);
-    const CoverageResult oracle = simulate_seq(nl, u.collapsed(), st);
+    const CoverageResult oracle = grade_seq_oracle(nl, u.collapsed(), st);
+    expect_same_flags(oracle, simulate_seq(nl, u.collapsed(), st), nl,
+                      u.collapsed(), fault_model_name(model));
     for (const Engine engine :
          {Engine::kReference, Engine::kCompiled, Engine::kEvent}) {
       for (const unsigned threads : {1u, 2u, 8u}) {

@@ -1,6 +1,7 @@
 // Differential tests for the parallel fault-simulation engines
-// (sim_parallel.hpp) against the serial oracles, plus edge-case coverage of
-// the pattern/lane machinery and the CoverageResult invariant.
+// (sim_parallel.hpp) against the serial and sequential oracles, plus
+// edge-case coverage of the pattern/lane machinery and the CoverageResult
+// invariant.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include "fault/sim.hpp"
 #include "fault/sim_parallel.hpp"
 #include "fault/thread_pool.hpp"
+#include "seq_oracle.hpp"
 
 namespace sbst::fault {
 namespace {
@@ -154,14 +156,10 @@ TEST(FaultParallel, CombDifferentialRandomNetlists) {
     expect_same_flags(oracle, simulate_comb(nl, faults, ps), nl, faults,
                       "simulate_comb");
     for (unsigned threads : {1u, 2u, 8u}) {
-      for (bool lanes : {false, true}) {
-        const SimOptions opt{.num_threads = threads, .lane_parallel = lanes};
-        const CoverageResult got =
-            simulate_comb_parallel(nl, faults, ps, {}, opt);
-        expect_invariant(got);
-        expect_same_flags(oracle, got, nl, faults,
-                          lanes ? "parallel/lane" : "parallel/block");
-      }
+      const CoverageResult got = simulate_comb_parallel(
+          nl, faults, ps, {}, {.num_threads = threads});
+      expect_invariant(got);
+      expect_same_flags(oracle, got, nl, faults, "parallel/block");
     }
   }
 }
@@ -175,8 +173,10 @@ TEST(FaultParallel, SeqDifferentialRandomNetlists) {
     const auto& faults = u.collapsed();
     const SeqStimulus st = random_stimulus(rng, nl, 40);
 
-    const CoverageResult oracle = simulate_seq(nl, faults, st);
+    const CoverageResult oracle = grade_seq_oracle(nl, faults, st);
     expect_invariant(oracle);
+    expect_same_flags(oracle, simulate_seq(nl, faults, st), nl, faults,
+                      "simulate_seq");
     for (unsigned threads : {1u, 2u, 8u}) {
       const CoverageResult got = simulate_seq_parallel(
           nl, faults, st, {}, {.num_threads = threads});
@@ -217,11 +217,9 @@ TEST(FaultParallel, PatternCountsAroundLaneBoundary) {
     const CoverageResult oracle = simulate_serial(nl, faults, ps);
     expect_same_flags(oracle, simulate_comb(nl, faults, ps), nl, faults,
                       "simulate_comb");
-    for (bool lanes : {false, true}) {
-      const CoverageResult got = simulate_comb_parallel(
-          nl, faults, ps, {}, {.num_threads = 2, .lane_parallel = lanes});
-      expect_same_flags(oracle, got, nl, faults, "comb_parallel");
-    }
+    const CoverageResult got =
+        simulate_comb_parallel(nl, faults, ps, {}, {.num_threads = 2});
+    expect_same_flags(oracle, got, nl, faults, "comb_parallel");
   }
 }
 
@@ -230,9 +228,9 @@ TEST(FaultParallel, EmptyFaultList) {
   const Netlist nl = random_comb_netlist(rng, 4, 20);
   const PatternSet ps = random_patterns(rng, nl, 10);
   const std::vector<Fault> none;
-  for (bool lanes : {false, true}) {
-    const CoverageResult res = simulate_comb_parallel(
-        nl, none, ps, {}, {.num_threads = 4, .lane_parallel = lanes});
+  {
+    const CoverageResult res =
+        simulate_comb_parallel(nl, none, ps, {}, {.num_threads = 4});
     EXPECT_EQ(res.total, 0u);
     EXPECT_EQ(res.detected, 0u);
     EXPECT_TRUE(res.detected_flags.empty());
@@ -256,11 +254,9 @@ TEST(FaultParallel, SingleInputNetlist) {
   ps.add({{"a", 1}});
   const CoverageResult oracle = simulate_serial(nl, u.collapsed(), ps);
   EXPECT_EQ(oracle.detected, oracle.total);  // both polarities covered
-  for (bool lanes : {false, true}) {
-    const CoverageResult got = simulate_comb_parallel(
-        nl, u.collapsed(), ps, {}, {.num_threads = 2, .lane_parallel = lanes});
-    expect_same_flags(oracle, got, nl, u.collapsed(), "single-input");
-  }
+  const CoverageResult got =
+      simulate_comb_parallel(nl, u.collapsed(), ps, {}, {.num_threads = 2});
+  expect_same_flags(oracle, got, nl, u.collapsed(), "single-input");
 }
 
 TEST(FaultParallel, FaultCountsAroundBatchBoundary) {
@@ -275,11 +271,9 @@ TEST(FaultParallel, FaultCountsAroundBatchBoundary) {
     const std::vector<Fault> faults(u.collapsed().begin(),
                                     u.collapsed().begin() + n);
     const CoverageResult oracle = simulate_serial(nl, faults, ps);
-    for (bool lanes : {false, true}) {
-      const CoverageResult got = simulate_comb_parallel(
-          nl, faults, ps, {}, {.num_threads = 3, .lane_parallel = lanes});
-      expect_same_flags(oracle, got, nl, faults, "sliced universe");
-    }
+    const CoverageResult got =
+        simulate_comb_parallel(nl, faults, ps, {}, {.num_threads = 3});
+    expect_same_flags(oracle, got, nl, faults, "sliced universe");
   }
 }
 
@@ -297,12 +291,9 @@ TEST(FaultParallel, ObserveSetRestrictedToOneOutput) {
   EXPECT_LT(oracle.detected, full.detected);  // restriction must bite
   expect_same_flags(oracle, simulate_comb(nl, u.collapsed(), ps, narrow), nl,
                     u.collapsed(), "simulate_comb/narrow");
-  for (bool lanes : {false, true}) {
-    const CoverageResult got = simulate_comb_parallel(
-        nl, u.collapsed(), ps, narrow,
-        {.num_threads = 2, .lane_parallel = lanes});
-    expect_same_flags(oracle, got, nl, u.collapsed(), "parallel/narrow");
-  }
+  const CoverageResult got = simulate_comb_parallel(
+      nl, u.collapsed(), ps, narrow, {.num_threads = 2});
+  expect_same_flags(oracle, got, nl, u.collapsed(), "parallel/narrow");
 }
 
 TEST(FaultParallel, SeqParallelOnCombNetlistMatchesSerial) {

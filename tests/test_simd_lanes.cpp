@@ -286,19 +286,16 @@ TEST(SimdLanes, GradingFlagsIdenticalAcrossLaneWidthsAndThreads) {
   for (unsigned lanes : {1u, 4u}) {
     for (unsigned threads : {1u, 2u, 8u}) {
       for (int netlist_opt : {0, 1}) {
-        for (bool lane_parallel : {false, true}) {
-          SimOptions opt;
-          opt.num_threads = threads;
-          opt.lane_parallel = lane_parallel;
-          opt.engine = Engine::kEvent;
-          opt.lanes = lanes;
-          opt.netlist_opt = netlist_opt;
-          const CoverageResult got =
-              fault::simulate_comb_parallel(nl, u.collapsed(), ps, {}, opt);
-          EXPECT_EQ(oracle.detected_flags, got.detected_flags)
-              << "lanes " << lanes << " threads " << threads << " opt "
-              << netlist_opt << (lane_parallel ? " lane" : " block");
-        }
+        SimOptions opt;
+        opt.num_threads = threads;
+        opt.engine = Engine::kEvent;
+        opt.lanes = lanes;
+        opt.netlist_opt = netlist_opt;
+        const CoverageResult got =
+            fault::simulate_comb_parallel(nl, u.collapsed(), ps, {}, opt);
+        EXPECT_EQ(oracle.detected_flags, got.detected_flags)
+            << "lanes " << lanes << " threads " << threads << " opt "
+            << netlist_opt;
       }
     }
   }

@@ -21,12 +21,12 @@
 // Global options:
 //   --threads N / -j N   fault-simulation worker threads (also SBST_THREADS
 //                        env var; default: hardware concurrency)
-//   --no-lane-parallel   disable PPSFP lane packing of faults
 //   --engine NAME        evaluation engine: reference | compiled | event
 //                        (also SBST_ENGINE env var; default: event)
 //   --lanes N            lane-block width in 64-bit words for the compiled
 //                        engines: 1 or 4 (also SBST_LANES env var; default
-//                        4 = 255 faults + good machine per pass; results
+//                        4 = 256 patterns per combinational pass, 255
+//                        faults + good machine per sequential pass; results
 //                        are identical for every width)
 //   --netlist-opt / --no-netlist-opt
 //                        netlist-compile optimization passes (const prop,
@@ -123,7 +123,6 @@ int usage() {
       "options: --threads N | -j N   fault-sim worker threads (env "
       "SBST_THREADS;\n"
       "                              default: hardware concurrency)\n"
-      "         --no-lane-parallel   disable PPSFP lane packing of faults\n"
       "         --engine NAME        reference | compiled | event (env "
       "SBST_ENGINE;\n"
       "                              default: event)\n"
@@ -359,8 +358,6 @@ int main(int argc, char** argv) {
       const long v = std::strtol(argv[++i], nullptr, 10);
       if (v <= 0) return usage();
       options.sim.num_threads = static_cast<unsigned>(v);
-    } else if (std::strcmp(a, "--no-lane-parallel") == 0) {
-      options.sim.lane_parallel = false;
     } else if (std::strcmp(a, "--session-cache") == 0) {
       options.session_cache = true;
     } else if (std::strcmp(a, "--no-session-cache") == 0) {
