@@ -9,6 +9,12 @@
 #include "sim/cpu.hpp"
 
 namespace sbst::core {
+
+// Print a MarchAlgorithm parameter by name: gtest's default printer shows
+// the pointer's address, which moves between runs and so would make the
+// listed test names differ from one build to the next.
+void PrintTo(const MarchAlgorithm* alg, std::ostream* os) { *os << alg->name; }
+
 namespace {
 
 TEST(March, AlgorithmComplexities) {
