@@ -67,14 +67,9 @@ int main(int argc, char** argv) {
                   static_cast<double>(count) / gen_s});
 
   // The session hands each replay leg the shared predecoded image from its
-  // content-addressed cache. Its grading configuration is pinned explicitly —
-  // lane width and compile-opt setting key the session caches, so relying on
-  // env defaults would let SBST_LANES / SBST_NETLIST_OPT silently change
-  // what this bench measures.
+  // content-addressed cache.
   core::ProcessorModel model;
-  core::GradingSession session(model,
-                               {.num_threads = 1, .lanes = 1,
-                                .netlist_opt = 0});
+  core::GradingSession session(model, {.num_threads = 1});
 
   const Executor executors[] = {Executor::kInterpreter, Executor::kDecoded,
                                 Executor::kGuarded};

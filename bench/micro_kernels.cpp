@@ -1,7 +1,6 @@
 // Experiment M1 — infrastructure micro-benchmarks (google-benchmark):
-// packed vs serial fault simulation, PODEM throughput, CPU simulation rate,
-// netlist evaluation, assembler speed. Also the DESIGN.md ablation for
-// decision 1 (64-lane packed logic vs serial reference).
+// packed fault simulation, PODEM throughput, CPU simulation rate, netlist
+// evaluation, assembler speed.
 #include <benchmark/benchmark.h>
 
 #include "atpg/podem.hpp"
@@ -86,21 +85,6 @@ void BM_FaultSimPpsfp(benchmark::State& state) {
                           static_cast<std::int64_t>(u.size() * ps.size()));
 }
 BENCHMARK(BM_FaultSimPpsfp)->Arg(64)->Arg(256);
-
-void BM_FaultSimSerialReference(benchmark::State& state) {
-  // Ablation (DESIGN.md decision 1): the unpacked reference simulator.
-  const netlist::Netlist& nl = alu16();
-  const fault::FaultUniverse u(nl);
-  const fault::PatternSet ps =
-      random_patterns(nl, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fault::simulate_serial(nl, u.collapsed(), ps).detected);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(u.size() * ps.size()));
-}
-BENCHMARK(BM_FaultSimSerialReference)->Arg(64);
 
 void BM_PodemPerFault(benchmark::State& state) {
   const netlist::Netlist& nl = alu16();

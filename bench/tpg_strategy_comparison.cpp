@@ -41,8 +41,6 @@ double grade(GradingSession& session, const CutUnderStudy& cut,
   fault::SimOptions sim;
   sim.pool = &session.pool();
   sim.compiled = &session.compiled(cut.id);
-  sim.lanes = session.lanes();
-  sim.netlist_opt = session.options().netlist_opt;
   return fault::simulate_comb_parallel(*cut.nl, faults, ps, cut.observe, sim)
       .percent();
 }
@@ -54,13 +52,10 @@ int main() {
   std::puts(" E2: TPG strategy applicability (paper s3.3)");
   std::puts("==============================================================");
   ProcessorModel model;
-  // Pin the grading configuration explicitly: lane width and compile-opt
-  // setting key the session's compiled-netlist cache, so relying on env
-  // defaults would make bench numbers (and cache keys) vary run to run.
   // SBST_STORE is honored like the CLI honors it: a second bench run
   // against the same store reloads the ATPG pattern sets (and the other
   // persisted artifacts) instead of re-deriving them.
-  SessionOptions sopts{.lanes = 1, .netlist_opt = 0};
+  SessionOptions sopts;
   if (const char* spec = std::getenv("SBST_STORE")) {
     sopts.store = std::make_shared<store::ArtifactStore>(
         store::ArtifactStore::resolve_dir(spec));
@@ -172,8 +167,6 @@ int main() {
     fault::SimOptions sim;
     sim.pool = &session.pool();
     sim.compiled = &session.compiled(id);
-    sim.lanes = session.lanes();
-    sim.netlist_opt = session.options().netlist_opt;
     const double fc =
         fault::simulate_comb_parallel(
             info.netlist, universe.collapsed(), ps,

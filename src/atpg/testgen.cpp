@@ -44,13 +44,11 @@ TestGenResult generate_atpg_tests(const Netlist& nl,
   Rng rng(options.seed);
   Podem podem(nl, constraints, options.podem);
 
-  // One engine context for every fault-dropping pass: compilation and cone
+  // One grading context for every fault-dropping pass: compilation and cone
   // marking happen once (or are borrowed from a session), and already-set
   // flags short-circuit re-simulation of retired faults.
-  const fault::EngineContext ctx(options.engine, nl, observe,
-                                 options.compiled, /*reach=*/nullptr,
-                                 /*lanes=*/0, /*netlist_opt=*/-1,
-                                 options.store);
+  const fault::EngineContext ctx(nl, observe, options.compiled,
+                                 /*reach=*/nullptr, options.store);
 
   // Pending patterns not yet fault-simulated.
   PatternSet pending(nl);

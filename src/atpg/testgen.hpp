@@ -38,13 +38,10 @@ struct TestGenOptions {
   /// pre-drop of the easy faults). 0 disables.
   unsigned random_warmup = 64;
   std::uint64_t seed = 1;
-  /// Evaluation engine for the fault-dropping passes (detection flags — and
-  /// therefore the generated test set — are identical for every choice).
-  fault::Engine engine = fault::default_engine();
   /// Pre-compiled netlist lent in by a long-lived caller (GradingSession);
   /// must match the netlist under test. nullptr = compile per call.
   const netlist::CompiledNetlist* compiled = nullptr;
-  /// Persistent artifact store for the fault-dropping engine's compiled
+  /// Persistent artifact store for the fault-dropping passes' compiled
   /// netlist when none is lent in; generated tests are identical either way.
   store::ArtifactStore* store = nullptr;
 };

@@ -244,7 +244,6 @@ ProgramEvaluation evaluate_program(GradingSession& session,
   // must be taken before fan-out; with the cache off a repeated fetch would
   // replace the object) and decompose each CUT's grading into chunk tasks.
   const ObserveMode mode = observe_mode(options);
-  const bool reference = options.sim.engine == fault::Engine::kReference;
   const std::vector<fault::FaultModel> models =
       options.fault_models.empty()
           ? std::vector<fault::FaultModel>{fault::FaultModel::kStuckAt}
@@ -255,23 +254,13 @@ ProgramEvaluation evaluate_program(GradingSession& session,
   fault::GradingPlan plan;
   for (const ComponentInfo& info : model.components()) {
     auto t_compile = Clock::now();
-    const std::uint8_t* reach = nullptr;
-    const netlist::CompiledNetlist* compiled = nullptr;
-    if (!reference) {
-      // Cone first: with the cache off it (re)builds compiled + observe, so
-      // the references fetched after it stay the live objects.
-      reach = session.cone(info.id, mode).data();
-      const bool opt = options.sim.netlist_opt < 0
-                           ? fault::default_netlist_opt()
-                           : options.sim.netlist_opt != 0;
-      compiled = &session.compiled(info.id,
-                                   opt ? netlist::CompileOptions::all()
-                                       : netlist::CompileOptions{});
-    }
+    // Cone first: with the cache off it (re)builds compiled + observe, so
+    // the references fetched after it stay the live objects.
+    const std::uint8_t* reach = session.cone(info.id, mode).data();
+    const netlist::CompiledNetlist& compiled = session.compiled(info.id);
     const fault::ObserveSet& obs = session.observe(info.id, mode);
-    const fault::EngineContext& ctx = ctxs.emplace_back(
-        options.sim.engine, info.netlist, obs, compiled, reach,
-        options.sim.lanes, options.sim.netlist_opt);
+    const fault::EngineContext& ctx =
+        ctxs.emplace_back(info.netlist, obs, &compiled, reach);
     out.stages.compile += seconds_since(t_compile);
 
     const fault::PatternSet* patterns = nullptr;
@@ -380,9 +369,9 @@ ProgramEvaluation evaluate_program(const ProcessorModel& model,
                                    const TestProgramBuilder& builder,
                                    const TestProgram& program,
                                    const EvalOptions& options) {
-  GradingSession session(model, {.num_threads = options.sim.num_threads,
-                                 .lanes = options.sim.lanes,
-                                 .netlist_opt = options.sim.netlist_opt});
+  SessionOptions session_options;
+  session_options.num_threads = options.sim.num_threads;
+  GradingSession session(model, session_options);
   return evaluate_program(session, builder, program, options);
 }
 

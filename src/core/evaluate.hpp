@@ -12,8 +12,8 @@
 // traced run, then one flattened GradingPlan interleaving every CUT's
 // fault-chunk tasks on the session pool (cross-CUT parallelism without
 // oversubscription), then the standalone routine executions as a second
-// task batch. Results are bitwise-identical for every engine, thread count,
-// and cache setting.
+// task batch. Results are bitwise-identical for every thread count and
+// cache setting.
 #pragma once
 
 #include <cstdint>
@@ -127,10 +127,10 @@ struct EvalOptions {
   /// Include the A-VC MAR outputs as observation points (ablation: what the
   /// paper deliberately leaves untested in periodic mode).
   bool observe_address_outputs = false;
-  /// Fault-simulation options (evaluation engine, thread count, lane
-  /// packing). Results are bitwise-identical for every engine and thread
-  /// count. When evaluating through a GradingSession, the session's pool is
-  /// used and `sim.num_threads` / `sim.pool` are ignored.
+  /// Fault-simulation options (thread count, pool). Results are
+  /// bitwise-identical for every thread count. When evaluating through a
+  /// GradingSession, the session's pool is used and `sim.num_threads` /
+  /// `sim.pool` are ignored.
   fault::SimOptions sim{};
   sim::CpuConfig cpu{};
   std::uint64_t max_instructions = 1u << 22;

@@ -143,8 +143,8 @@ GateLevelFaultInjector::GateLevelFaultInjector(GradingSession& session,
     : target_(target), nl_(&session.model().component(target).netlist) {
   check_target(target);
   validate_fault_site(*nl_, fault);
-  comp_eval_ = std::make_unique<netlist::CompiledEvaluator>(
-      session.compiled(target), /*event_driven=*/true);
+  comp_eval_ =
+      std::make_unique<netlist::CompiledEvaluator>(session.compiled(target));
   init_fault(fault);
 }
 
@@ -154,8 +154,7 @@ GateLevelFaultInjector::GateLevelFaultInjector(
     : target_(target), nl_(&nl) {
   check_target(target);
   validate_fault_site(nl, fault);
-  comp_eval_ = std::make_unique<netlist::CompiledEvaluator>(
-      compiled, /*event_driven=*/true);
+  comp_eval_ = std::make_unique<netlist::CompiledEvaluator>(compiled);
   init_fault(fault);
 }
 

@@ -187,8 +187,8 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   bool prev_line_sv_ = false;     // transition: previous op's line == sv
   netlist::NetId line_ = netlist::kNoNet;  // transition: the faulted line
   // Transition only: un-faulted reference evaluator for the line's
-  // fault-free value (compiled evaluators cannot provide it — optimization
-  // passes may fuse the line away).
+  // fault-free value (while the fault is armed, the faulty evaluator holds
+  // the forced value on a stem-fault line).
   std::unique_ptr<netlist::Evaluator> line_eval_;
   std::uint64_t corrupted_ = 0;
 };

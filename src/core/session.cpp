@@ -221,18 +221,6 @@ GradingSession::GradingSession(const ProcessorModel& model,
       options_(options),
       pool_(fault::resolve_thread_count(options.num_threads)) {}
 
-unsigned GradingSession::lanes() const {
-  const unsigned lanes =
-      options_.lanes == 0 ? fault::default_lanes() : options_.lanes;
-  return lanes == 4 ? 4 : 1;
-}
-
-netlist::CompileOptions GradingSession::compile_options() const {
-  const bool opt = options_.netlist_opt < 0 ? fault::default_netlist_opt()
-                                            : options_.netlist_opt != 0;
-  return opt ? netlist::CompileOptions::all() : netlist::CompileOptions{};
-}
-
 std::optional<std::vector<std::uint8_t>> GradingSession::probe_store(
     const store::ArtifactKey& key) {
   return probe_store(key.kind, key.bytes());
@@ -295,10 +283,9 @@ const fault::FaultUniverse& GradingSession::universe(CutId id,
   return *slot.universe;
 }
 
-const netlist::CompiledNetlist& GradingSession::compiled_locked(
-    CutId id, const netlist::CompileOptions& opts) {
+const netlist::CompiledNetlist& GradingSession::compiled_locked(CutId id) {
   const netlist::Netlist& nl = model_->component(id).netlist;
-  const store::ArtifactKey key = fault::compiled_store_key(nl, opts, lanes());
+  const store::ArtifactKey key = fault::compiled_store_key(nl);
   ArtifactSlot& slot = artifacts_[key];
   if (slot.compiled && options_.cache) {
     ++stats_.compile_hits;
@@ -307,7 +294,7 @@ const netlist::CompiledNetlist& GradingSession::compiled_locked(
   if (auto payload = probe_store(key)) {
     common::ByteReader r(*payload);
     auto cn = netlist::CompiledNetlist::deserialize(nl, r);
-    if (cn && cn->options() == opts) {
+    if (cn) {
       ++stats_.store_hits;
       slot.compiled = std::move(cn);
       return *slot.compiled;
@@ -315,7 +302,7 @@ const netlist::CompiledNetlist& GradingSession::compiled_locked(
     ++stats_.store_invalid;
   }
   ++stats_.compile_builds;
-  slot.compiled = std::make_unique<netlist::CompiledNetlist>(nl, opts);
+  slot.compiled = std::make_unique<netlist::CompiledNetlist>(nl);
   if (options_.store) {
     common::ByteWriter w;
     slot.compiled->serialize(w);
@@ -326,13 +313,7 @@ const netlist::CompiledNetlist& GradingSession::compiled_locked(
 
 const netlist::CompiledNetlist& GradingSession::compiled(CutId id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return compiled_locked(id, compile_options());
-}
-
-const netlist::CompiledNetlist& GradingSession::compiled(
-    CutId id, const netlist::CompileOptions& opts) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return compiled_locked(id, opts);
+  return compiled_locked(id);
 }
 
 const fault::ObserveSet& GradingSession::observe_locked(CutId id,
@@ -364,10 +345,8 @@ const std::vector<std::uint8_t>& GradingSession::cone(CutId id,
     return *slot.cone;
   }
   // The cone derives from the compiled netlist and the observe set; fetch
-  // both through the cache so a cone build warms them too. fanin_cone
-  // traverses ORIGINAL edges, so the cone is identical for every
-  // CompileOptions and the mode alone keys this slot.
-  const netlist::CompiledNetlist& cn = compiled_locked(id, compile_options());
+  // both through the cache so a cone build warms them too.
+  const netlist::CompiledNetlist& cn = compiled_locked(id);
   const fault::ObserveSet& obs = observe_locked(id, mode);
   ++stats_.cone_builds;
   slot.cone = std::make_unique<std::vector<std::uint8_t>>(cn.fanin_cone(obs));

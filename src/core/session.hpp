@@ -59,16 +59,6 @@ struct SessionOptions {
   /// Cache artifacts across gradings. Off rebuilds each artifact on every
   /// request — same results, only slower (the differential-testing knob).
   bool cache = true;
-  /// Lane-block width in words for the compiled engines (0 =
-  /// fault::default_lanes()). Part of the grading configuration handed to
-  /// every simulation this session drives; detection results are identical
-  /// for every width.
-  unsigned lanes = 0;
-  /// Netlist-compile optimization passes for compiled netlists built by this
-  /// session: 1 = on, 0 = off, -1 = fault::default_netlist_opt(). Keyed into
-  /// the compiled-netlist cache, so sessions with different settings never
-  /// alias.
-  int netlist_opt = -1;
   /// Default watchdog budget factor for injection campaigns run through
   /// this session: faulty runs get budget_factor × the good machine's
   /// instructions / cycles / stores before the watchdog classifies them as
@@ -125,26 +115,14 @@ class GradingSession {
   /// the pool must not submit to it.
   fault::ThreadPool& pool() { return pool_; }
 
-  /// Resolved lane-block width for gradings driven by this session.
-  unsigned lanes() const;
-  /// Resolved compile options for compiled netlists built by this session
-  /// (all passes on, or none, per SessionOptions::netlist_opt).
-  netlist::CompileOptions compile_options() const;
-
   /// Collapsed stuck-at fault universe of a component.
   const fault::FaultUniverse& universe(CutId id);
   /// Collapsed fault universe of a component under an explicit fault model.
   /// Each model gets its own cache / store slot (the model is an axis of the
   /// artifact key), so mixed-model sessions never alias universes.
   const fault::FaultUniverse& universe(CutId id, fault::FaultModel model);
-  /// Compiled netlist of a component under the session's compile options
-  /// (shared read-only across workers).
+  /// Compiled netlist of a component (shared read-only across workers).
   const netlist::CompiledNetlist& compiled(CutId id);
-  /// Compiled netlist of a component under explicit compile options. The
-  /// cache is keyed by (component, options), so differently-optimized
-  /// programs never alias.
-  const netlist::CompiledNetlist& compiled(CutId id,
-                                           const netlist::CompileOptions& opts);
   /// Observe set of a component under a mode.
   const fault::ObserveSet& observe(CutId id, ObserveMode mode);
   /// Fanin-cone reach prefilter of the mode's observe set, indexed per gate.
@@ -218,8 +196,7 @@ class GradingSession {
     GoodRun run;
   };
 
-  const netlist::CompiledNetlist& compiled_locked(
-      CutId id, const netlist::CompileOptions& opts);
+  const netlist::CompiledNetlist& compiled_locked(CutId id);
   const fault::ObserveSet& observe_locked(CutId id, ObserveMode mode);
   std::shared_ptr<const isa::DecodedProgram> decoded_locked(
       const isa::Program& image);

@@ -1,116 +1,41 @@
 #include "fault/engine.hpp"
 
-#include <cstdlib>
-
 #include "common/serialize.hpp"
 #include "fault/sim_detail.hpp"
 #include "store/artifact_store.hpp"
 
 namespace sbst::fault {
 
-store::ArtifactKey compiled_store_key(const netlist::Netlist& nl,
-                                      const netlist::CompileOptions& opts,
-                                      unsigned lanes) {
+store::ArtifactKey compiled_store_key(const netlist::Netlist& nl) {
   store::ArtifactKey key;
   key.kind = "compiled";
   key.version = netlist::CompiledNetlist::kSerialVersion;
-  key.lanes = static_cast<std::uint8_t>(lanes);
-  key.opts = static_cast<std::uint8_t>((opts.const_prop ? 1u : 0) |
-                                       (opts.fuse_inverters ? 2u : 0) |
-                                       (opts.dead_sweep ? 4u : 0));
   key.content = nl.content_hash();
   return key;
 }
 
-const char* engine_name(Engine engine) {
-  switch (engine) {
-    case Engine::kReference: return "reference";
-    case Engine::kCompiled: return "compiled";
-    case Engine::kEvent: return "event";
-  }
-  return "?";
-}
-
-bool parse_engine(const std::string& name, Engine& out) {
-  if (name == "reference") {
-    out = Engine::kReference;
-  } else if (name == "compiled") {
-    out = Engine::kCompiled;
-  } else if (name == "event") {
-    out = Engine::kEvent;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-Engine default_engine() {
-  if (const char* env = std::getenv("SBST_ENGINE")) {
-    Engine e;
-    if (parse_engine(env, e)) return e;
-  }
-  return Engine::kEvent;
-}
-
-bool parse_lanes(const std::string& text, unsigned& out) {
-  if (text == "1") {
-    out = 1;
-  } else if (text == "4") {
-    out = 4;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-unsigned default_lanes() {
-  if (const char* env = std::getenv("SBST_LANES")) {
-    unsigned lanes;
-    if (parse_lanes(env, lanes)) return lanes;
-  }
-  return 4;
-}
-
-bool default_netlist_opt() {
-  if (const char* env = std::getenv("SBST_NETLIST_OPT")) {
-    return std::string(env) != "0";
-  }
-  return true;
-}
-
-EngineContext::EngineContext(Engine engine, const netlist::Netlist& nl,
+EngineContext::EngineContext(const netlist::Netlist& nl,
                              std::vector<netlist::NetId> observe,
                              const netlist::CompiledNetlist* compiled,
-                             const std::uint8_t* reach, unsigned lanes,
-                             int netlist_opt, store::ArtifactStore* store)
-    : engine_(engine),
-      nl_(&nl),
-      observe_(detail::resolve_observe(nl, observe)) {
-  if (lanes == 0) lanes = default_lanes();
-  lanes_ = engine_ != Engine::kReference && lanes == 4 ? 4 : 1;
+                             const std::uint8_t* reach,
+                             store::ArtifactStore* store)
+    : nl_(&nl), observe_(detail::resolve_observe(nl, observe)) {
   nl.topo_order();  // warm the shared cache before workers touch it
-  if (engine_ == Engine::kReference) return;
   if (compiled) {
     compiled_ = compiled;
   } else {
-    const bool opt = netlist_opt < 0 ? default_netlist_opt() : netlist_opt != 0;
-    const netlist::CompileOptions opts =
-        opt ? netlist::CompileOptions::all() : netlist::CompileOptions{};
-    if (store) {
-      const store::ArtifactKey key = compiled_store_key(nl, opts, lanes_);
-      if (auto payload = store->load(key)) {
-        common::ByteReader r(*payload);
-        auto cn = netlist::CompiledNetlist::deserialize(nl, r);
-        if (cn && cn->options() == opts) owned_compiled_ = std::move(cn);
-      }
-      if (!owned_compiled_) {
-        owned_compiled_ = std::make_unique<netlist::CompiledNetlist>(nl, opts);
+    const store::ArtifactKey key = compiled_store_key(nl);
+    if (auto payload = store ? store->load(key) : std::nullopt) {
+      common::ByteReader r(*payload);
+      owned_compiled_ = netlist::CompiledNetlist::deserialize(nl, r);
+    }
+    if (!owned_compiled_) {
+      owned_compiled_ = std::make_unique<netlist::CompiledNetlist>(nl);
+      if (store) {
         common::ByteWriter w;
         owned_compiled_->serialize(w);
         store->save(key, w.bytes());
       }
-    } else {
-      owned_compiled_ = std::make_unique<netlist::CompiledNetlist>(nl, opts);
     }
     compiled_ = owned_compiled_.get();
   }

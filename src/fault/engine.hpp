@@ -1,138 +1,75 @@
-// Fault-simulation engine selection and shared per-run engine artifacts.
+// Shared per-run grading artifacts.
 //
-// Every simulator in sim.hpp / sim_parallel.hpp grades the same contract
-// with one of three interchangeable evaluation engines; detection flags are
-// bitwise-identical across engines for any netlist, stimulus, observe set,
-// thread count, and lane packing:
+// Every simulator in sim.hpp / sim_parallel.hpp grades on the compiled,
+// event-driven CompiledEvaluatorT<4>: after the good-machine pass each
+// injected fault re-simulates only its fanout cone, and faults whose cone
+// cannot reach the observe set are skipped up front.
 //
-//  * kReference: the original Evaluator — full topo-order re-evaluation per
-//    eval(), hash-map pin forces. The oracle the fast engines are
-//    cross-checked against.
-//  * kCompiled:  CompiledEvaluator with event-driving disabled — one
-//    contiguous levelized SoA sweep per eval(), dense force arrays. Isolates
-//    the win from compilation alone.
-//  * kEvent:     CompiledEvaluator in event-driven mode — after the
-//    good-machine pass each injected fault re-simulates only its fanout
-//    cone, and faults whose cone cannot reach the observe set are skipped
-//    up front. The production default.
-//
-// EngineContext bundles the engine's immutable per-run artifacts — the
-// compiled program and the observe-cone reach prefilter — built once and
-// shared read-only by every worker. A caller that already holds them (e.g.
-// a core::GradingSession cache) lends them in instead, so repeated gradings
+// EngineContext bundles the immutable per-run artifacts — the compiled
+// program and the observe-cone reach prefilter — built once and shared
+// read-only by every worker. A caller that already holds them (e.g. a
+// core::GradingSession cache) lends them in instead, so repeated gradings
 // of the same netlist pay for compilation and cone marking exactly once.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "netlist/compiled.hpp"
-#include "netlist/eval.hpp"
 #include "store/artifact_store.hpp"
 
 namespace sbst::fault {
 
+/// The evaluator every grading runs on: 256 lanes per net, so one
+/// combinational pass carries 256 patterns and one sequential pass packs
+/// 255 faulty machines beside the good machine in lane 0.
+using GradeEvaluator = netlist::CompiledEvaluatorT<4>;
+
 /// Canonical persistent-store key for a compiled netlist: content hash of
-/// the netlist plus the compile options and lane width. Shared by
-/// EngineContext and core::GradingSession so a store warmed through either
-/// layer serves the other.
-store::ArtifactKey compiled_store_key(const netlist::Netlist& nl,
-                                      const netlist::CompileOptions& opts,
-                                      unsigned lanes);
+/// the netlist plus the image format version. Shared by EngineContext and
+/// core::GradingSession so a store warmed through either layer serves the
+/// other.
+store::ArtifactKey compiled_store_key(const netlist::Netlist& nl);
 
-enum class Engine : std::uint8_t {
-  kReference,
-  kCompiled,
-  kEvent,
-};
-
-/// "reference", "compiled", or "event".
-const char* engine_name(Engine engine);
-
-/// Parses an engine name; returns false (and leaves `out` untouched) on an
-/// unknown name.
-bool parse_engine(const std::string& name, Engine& out);
-
-/// Engine used when none is requested explicitly: the SBST_ENGINE
-/// environment variable if it names one, else kEvent.
-Engine default_engine();
-
-/// Lane-block width in 64-bit words when none is requested explicitly: the
-/// SBST_LANES environment variable if it parses to a supported width
-/// (1 or 4), else 4. One event-driven pass lane-packs 64*width - 1 faults.
-/// The reference engine always runs single-word and ignores this.
-unsigned default_lanes();
-
-/// Parses a lane width ("1" or "4"); returns false on anything else.
-bool parse_lanes(const std::string& text, unsigned& out);
-
-/// Whether the compiled engines run the netlist-compile optimization passes
-/// (constant propagation, inverter fusion, dead-gate sweep) when nothing is
-/// requested explicitly: SBST_NETLIST_OPT=0 disables, else enabled.
-bool default_netlist_opt();
-
-/// Immutable per-run grading artifacts for one (engine, netlist, observe
-/// set) triple: the resolved observe set, the compiled program (for the
-/// compiled engines), and the observe-cone reach prefilter. Construction
-/// also warms the netlist's cached topological order so worker threads only
-/// ever read it. Thread-safe to share by const reference; each worker
-/// builds its own evaluator via grade_with_evaluator().
+/// Immutable per-run grading artifacts for one (netlist, observe set) pair:
+/// the resolved observe set, the compiled program, and the observe-cone
+/// reach prefilter. Construction also warms the netlist's cached
+/// topological order so worker threads only ever read it. Thread-safe to
+/// share by const reference; each worker builds its own evaluator via
+/// grade_with_evaluator().
 class EngineContext {
  public:
   /// Builds the artifacts for grading `nl` observed at `observe` (empty =
   /// all declared outputs). When the caller already owns a matching
   /// `compiled` netlist and/or `reach` prefilter (they must correspond to
   /// `nl` and `observe`), they are borrowed instead of rebuilt and must
-  /// outlive this context. `lanes` is the lane-block width in words (0 =
-  /// default_lanes(); values other than 4 run single-word). `netlist_opt`
-  /// selects the compile-time optimization passes when this context builds
-  /// its own compiled netlist; a borrowed `compiled` keeps whatever options
-  /// it was built with. When `store` is set and this context compiles its
-  /// own netlist, the persistent artifact store is probed first (keyed by
-  /// netlist content hash + options + lane width) and written back after a
-  /// from-scratch compile — results are identical either way.
-  EngineContext(Engine engine, const netlist::Netlist& nl,
+  /// outlive this context. When `store` is set and this context compiles
+  /// its own netlist, the persistent artifact store is probed first (keyed
+  /// by netlist content hash) and written back after a from-scratch compile
+  /// — results are identical either way.
+  EngineContext(const netlist::Netlist& nl,
                 std::vector<netlist::NetId> observe,
                 const netlist::CompiledNetlist* compiled = nullptr,
-                const std::uint8_t* reach = nullptr, unsigned lanes = 0,
-                int netlist_opt = -1, store::ArtifactStore* store = nullptr);
+                const std::uint8_t* reach = nullptr,
+                store::ArtifactStore* store = nullptr);
 
-  Engine engine() const { return engine_; }
-  /// Resolved lane-block width in words (1 for the reference engine).
-  unsigned lanes() const { return lanes_; }
   const netlist::Netlist& netlist() const { return *nl_; }
   const std::vector<netlist::NetId>& observe() const { return observe_; }
-  /// Per-gate observe-cone membership, or nullptr for the reference engine
-  /// (which runs unfiltered, as the oracle).
+  /// Per-gate observe-cone membership.
   const std::uint8_t* reach() const { return reach_; }
-  /// Compiled program, or nullptr for the reference engine.
   const netlist::CompiledNetlist* compiled() const { return compiled_; }
 
-  /// Calls grade(ev) on a freshly built evaluator for this engine at the
-  /// resolved lane width. The grading templates in sim_detail.hpp are
-  /// lane-generic (Ev::kWords), so each width instantiates its own inner
-  /// loops.
+  /// Calls grade(ev) on a freshly built evaluator over the compiled
+  /// program. The grading templates in sim_detail.hpp are generic in the
+  /// evaluator type (Ev::kWords).
   template <typename GradeFn>
   void grade_with_evaluator(const GradeFn& grade) const {
-    if (engine_ == Engine::kReference) {
-      netlist::Evaluator ev(*nl_);
-      grade(ev);
-    } else if (lanes_ == 4) {
-      netlist::CompiledEvaluatorT<4> ev(
-          *compiled_, /*event_driven=*/engine_ == Engine::kEvent);
-      grade(ev);
-    } else {
-      netlist::CompiledEvaluatorT<1> ev(
-          *compiled_, /*event_driven=*/engine_ == Engine::kEvent);
-      grade(ev);
-    }
+    GradeEvaluator ev(*compiled_);
+    grade(ev);
   }
 
  private:
-  Engine engine_;
-  unsigned lanes_;
   const netlist::Netlist* nl_;
   std::vector<netlist::NetId> observe_;
   std::unique_ptr<netlist::CompiledNetlist> owned_compiled_;

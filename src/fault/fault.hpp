@@ -27,7 +27,7 @@
 //                   kIntermittentPeriod bursts on average).
 //
 // Activation depends only on the fault's identity and the GLOBAL pattern /
-// cycle index — never on lane position, batch, thread, or engine — which is
+// cycle index — never on lane position, batch, or thread — which is
 // what keeps grading bitwise deterministic for every thread count and lane
 // width (see fault_active / fault_active_word).
 #pragma once

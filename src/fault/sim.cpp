@@ -3,12 +3,10 @@
 #include <stdexcept>
 
 #include "fault/sim_detail.hpp"
-#include "netlist/compiled.hpp"
+#include "fault/sim_parallel.hpp"
 
 namespace sbst::fault {
 
-using netlist::CompiledEvaluator;
-using netlist::CompiledNetlist;
 using netlist::Evaluator;
 using netlist::Netlist;
 using netlist::NetId;
@@ -69,163 +67,42 @@ TransitionBaseline make_transition_baseline(const Netlist& nl,
 
 }  // namespace detail
 
-namespace {
-
-/// Runs `grade(ev, reach)` with the evaluator the engine calls for: the
-/// reference Evaluator (no prefilter), or a CompiledEvaluator — full-sweep
-/// or event-driven — with the observe-cone prefilter.
-template <typename GradeFn>
-void with_engine(Engine engine, const Netlist& nl, const ObserveSet& observe,
-                 unsigned lanes, const GradeFn& grade) {
-  const EngineContext ctx(engine, nl, observe, /*compiled=*/nullptr,
-                          /*reach=*/nullptr, lanes);
-  ctx.grade_with_evaluator([&](auto& ev) { grade(ev, ctx.reach()); });
-}
-
-}  // namespace
-
-CoverageResult simulate_serial(const Netlist& nl,
-                               const std::vector<Fault>& faults,
-                               const PatternSet& patterns,
-                               const ObserveSet& observe_in, Engine engine,
-                               unsigned lanes) {
-  detail::require_combinational(nl, "simulate_serial");
-  const ObserveSet observe = detail::resolve_observe(nl, observe_in);
-
-  CoverageResult res;
-  res.total = faults.size();
-  res.detected_flags.assign(faults.size(), 0);
-  switch (detail::list_model(faults)) {
-    case FaultModel::kStuckAt:
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_serial(ev, faults, patterns, observe, reach,
-                             res.detected_flags.data());
-      });
-      break;
-    case FaultModel::kTransition: {
-      // Transition faults have no meaningful one-pattern-at-a-time oracle:
-      // detection is a property of pattern PAIRS, so the block grader (which
-      // is the canonical pairing algorithm) serves as the serial path too.
-      const auto baseline =
-          detail::make_transition_baseline(nl, patterns, observe);
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_transition_blocks(ev, faults, 0, faults.size(),
-                                        patterns, observe, baseline, reach,
-                                        res.detected_flags.data());
-      });
-      break;
-    }
-    case FaultModel::kTransientSEU:
-    case FaultModel::kIntermittent:
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_windowed_serial(ev, faults, patterns, observe, reach,
-                                      res.detected_flags.data());
-      });
-      break;
-  }
-  res.recount();
-  return res;
-}
-
 CoverageResult simulate_comb(const Netlist& nl,
                              const std::vector<Fault>& faults,
                              const PatternSet& patterns,
-                             const ObserveSet& observe_in, Engine engine,
-                             unsigned lanes) {
-  detail::require_combinational(nl, "simulate_comb");
-  const ObserveSet observe = detail::resolve_observe(nl, observe_in);
-
-  CoverageResult res;
-  res.total = faults.size();
-  res.detected_flags.assign(faults.size(), 0);
-  switch (detail::list_model(faults)) {
-    case FaultModel::kStuckAt:
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_comb(ev, faults, patterns, observe, reach,
-                           res.detected_flags.data());
-      });
-      break;
-    case FaultModel::kTransition: {
-      const auto baseline =
-          detail::make_transition_baseline(nl, patterns, observe);
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_transition_blocks(ev, faults, 0, faults.size(),
-                                        patterns, observe, baseline, reach,
-                                        res.detected_flags.data());
-      });
-      break;
-    }
-    case FaultModel::kTransientSEU:
-    case FaultModel::kIntermittent:
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_windowed(ev, faults, patterns, observe, reach,
-                               res.detected_flags.data());
-      });
-      break;
-  }
-  res.recount();
-  return res;
+                             const ObserveSet& observe) {
+  return simulate_comb_parallel(nl, faults, patterns, observe,
+                                {.num_threads = 1});
 }
 
 CoverageResult simulate_seq(const Netlist& nl,
                             const std::vector<Fault>& faults,
                             const SeqStimulus& stimulus,
-                            const ObserveSet& observe_in, Engine engine,
-                            unsigned lanes) {
-  const ObserveSet observe = detail::resolve_observe(nl, observe_in);
-
-  CoverageResult res;
-  res.total = faults.size();
-  res.detected_flags.assign(faults.size(), 0);
-  if (detail::list_model(faults) == FaultModel::kTransition) {
-    throw std::invalid_argument(
-        "simulate_seq: transition faults are combinational-only "
-        "(launch/capture pattern pairs); use simulate_comb");
-  }
-  with_engine(engine, nl, observe, lanes,
-              [&](auto& ev, const std::uint8_t* reach) {
-    detail::grade_seq_batches(ev, faults, 0, faults.size(), stimulus, observe,
-                              reach, res.detected_flags.data());
-  });
-  res.recount();
-  return res;
+                            const ObserveSet& observe) {
+  return simulate_seq_parallel(nl, faults, stimulus, observe,
+                               {.num_threads = 1});
 }
 
 void simulate_comb_into(const EngineContext& ctx,
                         const std::vector<Fault>& faults,
                         const PatternSet& patterns, std::uint8_t* flags) {
   detail::require_combinational(ctx.netlist(), "simulate_comb_into");
-  switch (detail::list_model(faults)) {
-    case FaultModel::kStuckAt:
-      ctx.grade_with_evaluator([&](auto& ev) {
-        detail::grade_comb(ev, faults, patterns, ctx.observe(), ctx.reach(),
-                           flags);
-      });
-      break;
-    case FaultModel::kTransition: {
-      const auto baseline = detail::make_transition_baseline(
-          ctx.netlist(), patterns, ctx.observe());
-      ctx.grade_with_evaluator([&](auto& ev) {
-        detail::grade_transition_blocks(ev, faults, 0, faults.size(),
-                                        patterns, ctx.observe(), baseline,
-                                        ctx.reach(), flags);
-      });
-      break;
-    }
-    case FaultModel::kTransientSEU:
-    case FaultModel::kIntermittent:
-      ctx.grade_with_evaluator([&](auto& ev) {
-        detail::grade_windowed(ev, faults, patterns, ctx.observe(),
-                               ctx.reach(), flags);
-      });
-      break;
+  if (detail::list_model(faults) == FaultModel::kTransition) {
+    const auto baseline = detail::make_transition_baseline(
+        ctx.netlist(), patterns, ctx.observe());
+    ctx.grade_with_evaluator([&](auto& ev) {
+      detail::grade_transition_blocks(ev, faults, 0, faults.size(), patterns,
+                                      ctx.observe(), baseline, ctx.reach(),
+                                      flags);
+    });
+    return;
   }
+  ctx.grade_with_evaluator([&](auto& ev) {
+    const detail::GoodResponses good =
+        detail::comb_good_responses(ev, patterns, ctx.observe());
+    detail::grade_comb_blocks(ev, faults, 0, faults.size(), patterns,
+                              ctx.observe(), good, ctx.reach(), flags);
+  });
 }
 
 std::vector<std::vector<bool>> good_responses(const Netlist& nl,

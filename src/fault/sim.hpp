@@ -1,22 +1,20 @@
-// Fault simulators.
+// Fault simulators: grade a fault list against a stimulus, counting a
+// fault detected when an observed output differs from the fault-free
+// response.
 //
-// Three engines with one contract — grade a fault list against a stimulus,
-// counting a fault detected when an observed output differs from the
-// fault-free response:
+//  * simulate_comb:  PPSFP — 256 packed patterns per pass, one fault
+//                    re-simulated per pass with fault dropping.
+//                    Combinational netlists only.
+//  * simulate_seq:   parallel-fault — lane 0 is the fault-free machine, the
+//                    other 255 lanes carry faulty machines through the whole
+//                    clocked stimulus. Works for sequential netlists
+//                    (divider, register file, memory controller).
 //
-//  * simulate_serial:   one fault at a time, one pattern at a time. The slow
-//                       reference implementation the fast engines are
-//                       cross-checked against in tests.
-//  * simulate_comb:     PPSFP — 64 packed patterns per pass, one fault
-//                       re-simulated per pass with fault dropping.
-//                       Combinational netlists only.
-//  * simulate_seq:      parallel-fault — lane 0 is the fault-free machine,
-//                       lanes 1..63 carry faulty machines through the whole
-//                       clocked stimulus. Works for sequential netlists
-//                       (divider, register file, memory controller).
-//
-// Multi-threaded versions of the fast engines (fault-partitioned thread
-// pool, bitwise-deterministic results) live in sim_parallel.hpp.
+// Both run the production kernels of sim_detail.hpp on the calling thread;
+// the multi-threaded front doors (fault-partitioned thread pool, bitwise-
+// identical results) live in sim_parallel.hpp. The one-fault-at-a-time
+// oracles these are cross-checked against are test-only
+// (tests/comb_oracle.hpp, tests/seq_oracle.hpp).
 #pragma once
 
 #include <optional>
@@ -32,40 +30,22 @@ namespace sbst::fault {
 /// outputs a self-test routine actually propagates). Empty = all outputs.
 using ObserveSet = std::vector<netlist::NetId>;
 
-// Each simulator accepts an evaluation Engine (engine.hpp). The default is
-// kReference so these remain the oracles the fast paths are cross-checked
-// against; detection flags are bitwise-identical for every engine, lane
-// width, and optimization setting. `lanes` is the lane-block width in words
-// for the compiled engines (0 = default_lanes(); the reference engine
-// ignores it).
-
-CoverageResult simulate_serial(const netlist::Netlist& nl,
-                               const std::vector<Fault>& faults,
-                               const PatternSet& patterns,
-                               const ObserveSet& observe = {},
-                               Engine engine = Engine::kReference,
-                               unsigned lanes = 0);
-
 CoverageResult simulate_comb(const netlist::Netlist& nl,
                              const std::vector<Fault>& faults,
                              const PatternSet& patterns,
-                             const ObserveSet& observe = {},
-                             Engine engine = Engine::kReference,
-                             unsigned lanes = 0);
+                             const ObserveSet& observe = {});
 
 CoverageResult simulate_seq(const netlist::Netlist& nl,
                             const std::vector<Fault>& faults,
                             const SeqStimulus& stimulus,
-                            const ObserveSet& observe = {},
-                            Engine engine = Engine::kReference,
-                            unsigned lanes = 0);
+                            const ObserveSet& observe = {});
 
 /// Incremental PPSFP grading for fault-dropping loops (ATPG test-set
 /// generation): simulates `patterns` against the faults whose `flags` entry
 /// is still 0 and sets the flag of each new detection. Reuses a prebuilt
 /// EngineContext so repeated calls (one per pattern batch) pay for
 /// compilation and cone marking once. Flags are bitwise-identical to
-/// grading all batches together with any other simulator.
+/// grading all batches together in one call.
 void simulate_comb_into(const EngineContext& ctx,
                         const std::vector<Fault>& faults,
                         const PatternSet& patterns, std::uint8_t* flags);

@@ -1,15 +1,16 @@
-// Helpers shared by the serial (sim.cpp) and parallel (sim_parallel.cpp)
-// fault-simulation engines. Internal to src/fault.
+// Grading kernels shared by sim.cpp and sim_parallel.cpp. Internal to
+// src/fault.
 //
-// The grading loops are templated on the evaluator type so every simulator
-// runs unchanged on the reference Evaluator, the compiled full-sweep
-// evaluator, and the event-driven evaluator (see engine.hpp). They follow a
-// single-evaluator discipline — good-machine pass, then per fault
-// inject / eval / observe / clear_faults — which the event-driven engine
-// turns into one fanout-cone propagation plus an O(touched) revert per
-// fault. `reach` (nullable) is the output-cone prefilter: a fault whose
-// site cannot structurally reach the observe set is skipped, which cannot
-// change its detection flag (it would never be detected anyway).
+// Three kernels: combinational PPSFP (stuck-at and the windowed transient /
+// intermittent models), transition launch/capture pairs, and sequential
+// lane-packed batches. They are templated on the evaluator type (Ev::kWords
+// lane-block width) and follow a single-evaluator discipline — good-machine
+// pass, then per fault inject / eval / observe / clear_faults — which the
+// event-driven CompiledEvaluatorT turns into one fanout-cone propagation
+// plus an O(touched) revert per fault. `reach` (nullable) is the
+// output-cone prefilter: a fault whose site cannot structurally reach the
+// observe set is skipped, which cannot change its detection flag (it would
+// never be detected anyway).
 #pragma once
 
 #include <algorithm>
@@ -66,132 +67,94 @@ void apply_block_group(Ev& ev, const PatternSet& patterns, std::size_t b0) {
   }
 }
 
-/// Loads the single pattern `p` broadcast into all 64 lanes.
-template <class Ev>
-void apply_pattern_broadcast(Ev& ev, const PatternSet& patterns,
-                             std::size_t p) {
-  const auto& words = patterns.block(p / 64);
-  const unsigned lane = p % 64;
-  const auto& inputs = patterns.netlist().inputs();
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    ev.set_input(inputs[k], (words[k] >> lane) & 1u);
-  }
-  // The whole stimulus just changed; a worklist pass would rediscover a
-  // netlist-wide frontier gate by gate, so ask for one level-major sweep.
-  ev.request_full_eval();
-}
+/// Fault-free responses per pattern block: good[b][o] is the word of
+/// observe[o] under pattern block b.
+using GoodResponses = std::vector<std::vector<std::uint64_t>>;
 
-/// One fault at a time, one broadcast pattern at a time (the serial oracle's
-/// loop structure).
+/// One good-machine pass per block group on `ev`. Computed once per grading
+/// and shared read-only by every chunk task.
 template <class Ev>
-void grade_serial(Ev& ev, const std::vector<Fault>& faults,
-                  const PatternSet& patterns, const ObserveSet& observe,
-                  const std::uint8_t* reach, std::uint8_t* flags) {
-  std::vector<std::uint64_t> good_out(observe.size());
-  for (std::size_t p = 0; p < patterns.size(); ++p) {
-    apply_pattern_broadcast(ev, patterns, p);
-    ev.eval();
-    for (std::size_t o = 0; o < observe.size(); ++o) {
-      good_out[o] = ev.value(observe[o]);
-    }
-    for (std::size_t f = 0; f < faults.size(); ++f) {
-      if (flags[f]) continue;
-      if (reach && !reach[faults[f].site.gate]) continue;
-      ev.inject(faults[f].site, faults[f].stuck_value, ~std::uint64_t{0});
-      ev.eval();
-      for (std::size_t o = 0; o < observe.size(); ++o) {
-        if ((good_out[o] ^ ev.value(observe[o])) & 1u) {
-          flags[f] = 1;
-          break;
-        }
-      }
-      ev.clear_faults();
-    }
-  }
-}
-
-/// PPSFP over all blocks, Ev::kWords blocks per eval: good pass per block
-/// group, then one faulty eval per undetected fault with fault dropping.
-/// Detection flags are independent of kWords — grouping only changes how
-/// many patterns each eval carries, never whether some pattern detects a
-/// fault.
-template <class Ev>
-void grade_comb(Ev& ev, const std::vector<Fault>& faults,
-                const PatternSet& patterns, const ObserveSet& observe,
-                const std::uint8_t* reach, std::uint8_t* flags) {
+GoodResponses comb_good_responses(Ev& ev, const PatternSet& patterns,
+                                  const ObserveSet& observe) {
   constexpr unsigned W = Ev::kWords;
   const std::size_t n_blocks = patterns.block_count();
-  std::vector<std::uint64_t> good_out(observe.size() * W);
-  std::uint64_t valid[W];
+  GoodResponses good(n_blocks);
   for (std::size_t b = 0; b < n_blocks; b += W) {
-    for (unsigned w = 0; w < W; ++w) {
-      valid[w] = b + w < n_blocks ? patterns.valid_lanes(b + w) : 0;
-    }
     apply_block_group(ev, patterns, b);
     ev.eval();
-    for (std::size_t o = 0; o < observe.size(); ++o) {
-      for (unsigned w = 0; w < W; ++w) {
-        good_out[o * W + w] = ev.value_word(observe[o], w);
+    for (unsigned w = 0; w < W && b + w < n_blocks; ++w) {
+      good[b + w].resize(observe.size());
+      for (std::size_t o = 0; o < observe.size(); ++o) {
+        good[b + w][o] = ev.value_word(observe[o], w);
       }
-    }
-    for (std::size_t f = 0; f < faults.size(); ++f) {
-      if (flags[f]) continue;  // fault dropping
-      if (reach && !reach[faults[f].site.gate]) continue;
-      ev.inject_broadcast(faults[f].site, faults[f].stuck_value);
-      ev.eval();
-      for (std::size_t o = 0; o < observe.size() && !flags[f]; ++o) {
-        for (unsigned w = 0; w < W; ++w) {
-          if ((good_out[o * W + w] ^ ev.value_word(observe[o], w)) &
-              valid[w]) {
-            flags[f] = 1;
-            break;
-          }
-        }
-      }
-      ev.clear_faults();
     }
   }
+  return good;
 }
 
-/// PPSFP over faults [begin, end) against fault-free responses precomputed
-/// once for all workers (the threaded block engine's inner loop).
+/// Combinational PPSFP over faults [begin, end) of a homogeneous list: per
+/// block group (Ev::kWords blocks of 64 patterns), one good-machine eval,
+/// then one faulty eval per still-undetected fault, compared against the
+/// precomputed `good` responses. A fault is forced only in its activation
+/// lanes — every valid lane for stuck-at, the lanes where its activation
+/// stream is on for transient-SEU / intermittent — and a fault dormant for
+/// the whole group is not evaluated at all. Faults already flagged on entry
+/// (e.g. pre-dropped by an ATPG loop) are skipped, and the kernel stops
+/// once every fault of the slice is detected. Flags are independent of
+/// kWords: grouping only changes how many patterns each eval carries.
 template <class Ev>
-void grade_comb_blocks(
-    Ev& ev, const std::vector<Fault>& faults, std::size_t begin,
-    std::size_t end, const PatternSet& patterns, const ObserveSet& observe,
-    const std::vector<std::vector<std::uint64_t>>& good_out,
-    const std::uint8_t* reach, std::uint8_t* flags) {
+void grade_comb_blocks(Ev& ev, const std::vector<Fault>& faults,
+                       std::size_t begin, std::size_t end,
+                       const PatternSet& patterns, const ObserveSet& observe,
+                       const GoodResponses& good, const std::uint8_t* reach,
+                       std::uint8_t* flags) {
   constexpr unsigned W = Ev::kWords;
+  if (begin >= end) return;
+  const bool windowed = faults[begin].model != FaultModel::kStuckAt;
+  std::vector<std::uint64_t> keys(windowed ? end - begin : 0);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = fault_stream_key(faults[begin + i]);
+  }
+  std::size_t undetected = 0;
+  for (std::size_t f = begin; f < end; ++f) undetected += flags[f] ? 0 : 1;
   const std::size_t n_blocks = patterns.block_count();
-  std::size_t undetected = end - begin;
   std::uint64_t valid[W];
   for (std::size_t b = 0; b < n_blocks && undetected > 0; b += W) {
     for (unsigned w = 0; w < W; ++w) {
       valid[w] = b + w < n_blocks ? patterns.valid_lanes(b + w) : 0;
     }
     apply_block_group(ev, patterns, b);
-    ev.eval();  // good-machine baseline (the event engine branches from it)
+    ev.eval();  // good-machine baseline the faulty evals branch from
     for (std::size_t f = begin; f < end; ++f) {
       if (flags[f]) continue;  // fault dropping
       if (reach && !reach[faults[f].site.gate]) continue;
-      ev.inject_broadcast(faults[f].site, faults[f].stuck_value);
+      std::uint64_t act[W];
+      std::uint64_t any = 0;
+      for (unsigned w = 0; w < W; ++w) {
+        act[w] = windowed ? fault_active_word(keys[f - begin],
+                                              faults[f].model, b + w) &
+                                valid[w]
+                          : valid[w];
+        any |= act[w];
+      }
+      if (any == 0) continue;  // fault dormant for this whole block group
+      ev.inject_block(faults[f].site, faults[f].stuck_value, act);
       ev.eval();
       bool det = false;
       for (std::size_t o = 0; o < observe.size() && !det; ++o) {
         for (unsigned w = 0; w < W; ++w) {
-          if (valid[w] == 0) continue;  // padded word: no good_out row
-          if ((good_out[b + w][o] ^ ev.value_word(observe[o], w)) &
-              valid[w]) {
+          if (valid[w] == 0) continue;  // padded word: no good row
+          if ((good[b + w][o] ^ ev.value_word(observe[o], w)) & act[w]) {
             det = true;
             break;
           }
         }
       }
+      ev.clear_faults();
       if (det) {
         flags[f] = 1;
         --undetected;
       }
-      ev.clear_faults();
     }
   }
 }
@@ -402,10 +365,9 @@ FaultModel list_model(const std::vector<Fault>& faults);
 // ---- transition grading ----------------------------------------------------
 
 /// Fault-free per-block net values and observe-point responses, precomputed
-/// ONCE with the reference Evaluator. Transition grading needs the good value
-/// of the faulted LINE itself for launch/capture pairing, and optimized
-/// compiled evaluators cannot provide it: dead-sweep liveness is computed on
-/// post-fusion edges, so a fused-away gate's value array is stale.
+/// once per grading with the reference Evaluator and shared read-only by
+/// every chunk task. Transition grading reads the good value of each
+/// faulted LINE from here for launch/capture pairing.
 struct TransitionBaseline {
   std::vector<std::vector<std::uint64_t>> vals;  // [block][net]
   std::vector<std::vector<std::uint64_t>> out;   // [block][observe index]
@@ -416,7 +378,7 @@ TransitionBaseline make_transition_baseline(const netlist::Netlist& nl,
                                             const ObserveSet& observe);
 
 /// Transition grading of faults [begin, end) against a precomputed baseline,
-/// block-major so the event engine pays one stimulus propagation per block
+/// block-major so the evaluator pays one stimulus propagation per block
 /// group. Bitwise-identical flags to the legacy simulate_transition: per
 /// block, launch lanes carry the fault-free value sv, capture lanes carry
 /// !sv AND the equivalent stuck-at-sv is observed; a fault is detected by a
@@ -444,7 +406,7 @@ void grade_transition_blocks(Ev& ev, const std::vector<Fault>& faults,
       valid[w] = b + w < n_blocks ? patterns.valid_lanes(b + w) : 0;
     }
     apply_block_group(ev, patterns, b);
-    ev.eval();  // good-machine baseline (the event engine branches from it)
+    ev.eval();  // good-machine baseline the faulty evals branch from
     for (std::size_t f = begin; f < end; ++f) {
       if (flags[f]) continue;  // fault dropping
       const Fault& fault = faults[f];
@@ -485,151 +447,6 @@ void grade_transition_blocks(Ev& ev, const std::vector<Fault>& faults,
       }
       prev_msb[f - begin] = msb;
       if (flags[f]) --undetected;
-    }
-  }
-}
-
-// ---- windowed grading (transient SEU / intermittent) -----------------------
-
-/// PPSFP windowed grading, inline good pass (the serial simulate_comb shape):
-/// pattern p grades a fault only in lanes where its activation stream is on
-/// at global index p.
-template <class Ev>
-void grade_windowed(Ev& ev, const std::vector<Fault>& faults,
-                    const PatternSet& patterns, const ObserveSet& observe,
-                    const std::uint8_t* reach, std::uint8_t* flags) {
-  constexpr unsigned W = Ev::kWords;
-  const std::size_t n_blocks = patterns.block_count();
-  std::vector<std::uint64_t> good_out(observe.size() * W);
-  std::vector<std::uint64_t> keys(faults.size());
-  for (std::size_t f = 0; f < faults.size(); ++f) {
-    keys[f] = fault_stream_key(faults[f]);
-  }
-  std::uint64_t valid[W];
-  for (std::size_t b = 0; b < n_blocks; b += W) {
-    for (unsigned w = 0; w < W; ++w) {
-      valid[w] = b + w < n_blocks ? patterns.valid_lanes(b + w) : 0;
-    }
-    apply_block_group(ev, patterns, b);
-    ev.eval();
-    for (std::size_t o = 0; o < observe.size(); ++o) {
-      for (unsigned w = 0; w < W; ++w) {
-        good_out[o * W + w] = ev.value_word(observe[o], w);
-      }
-    }
-    for (std::size_t f = 0; f < faults.size(); ++f) {
-      if (flags[f]) continue;  // fault dropping
-      if (reach && !reach[faults[f].site.gate]) continue;
-      std::uint64_t act[W];
-      std::uint64_t any = 0;
-      for (unsigned w = 0; w < W; ++w) {
-        act[w] =
-            fault_active_word(keys[f], faults[f].model, b + w) & valid[w];
-        any |= act[w];
-      }
-      if (any == 0) continue;  // fault dormant for this whole block group
-      ev.inject_block(faults[f].site, faults[f].stuck_value, act);
-      ev.eval();
-      for (std::size_t o = 0; o < observe.size() && !flags[f]; ++o) {
-        for (unsigned w = 0; w < W; ++w) {
-          if ((good_out[o * W + w] ^ ev.value_word(observe[o], w)) &
-              valid[w]) {
-            flags[f] = 1;
-            break;
-          }
-        }
-      }
-      ev.clear_faults();
-    }
-  }
-}
-
-/// Windowed grading of faults [begin, end) against fault-free responses
-/// precomputed once for all workers (the threaded block engine's shape).
-template <class Ev>
-void grade_windowed_blocks(
-    Ev& ev, const std::vector<Fault>& faults, std::size_t begin,
-    std::size_t end, const PatternSet& patterns, const ObserveSet& observe,
-    const std::vector<std::vector<std::uint64_t>>& good_out,
-    const std::uint8_t* reach, std::uint8_t* flags) {
-  constexpr unsigned W = Ev::kWords;
-  const std::size_t n_blocks = patterns.block_count();
-  std::size_t undetected = end - begin;
-  std::vector<std::uint64_t> keys(end - begin);
-  for (std::size_t f = begin; f < end; ++f) {
-    keys[f - begin] = fault_stream_key(faults[f]);
-  }
-  std::uint64_t valid[W];
-  for (std::size_t b = 0; b < n_blocks && undetected > 0; b += W) {
-    for (unsigned w = 0; w < W; ++w) {
-      valid[w] = b + w < n_blocks ? patterns.valid_lanes(b + w) : 0;
-    }
-    apply_block_group(ev, patterns, b);
-    ev.eval();  // good-machine baseline (the event engine branches from it)
-    for (std::size_t f = begin; f < end; ++f) {
-      if (flags[f]) continue;  // fault dropping
-      if (reach && !reach[faults[f].site.gate]) continue;
-      std::uint64_t act[W];
-      std::uint64_t any = 0;
-      for (unsigned w = 0; w < W; ++w) {
-        act[w] = fault_active_word(keys[f - begin], faults[f].model, b + w) &
-                 valid[w];
-        any |= act[w];
-      }
-      if (any == 0) continue;  // fault dormant for this whole block group
-      ev.inject_block(faults[f].site, faults[f].stuck_value, act);
-      ev.eval();
-      bool det = false;
-      for (std::size_t o = 0; o < observe.size() && !det; ++o) {
-        for (unsigned w = 0; w < W; ++w) {
-          if (valid[w] == 0) continue;  // padded word: no good_out row
-          if ((good_out[b + w][o] ^ ev.value_word(observe[o], w)) &
-              valid[w]) {
-            det = true;
-            break;
-          }
-        }
-      }
-      if (det) {
-        flags[f] = 1;
-        --undetected;
-      }
-      ev.clear_faults();
-    }
-  }
-}
-
-/// Serial windowed oracle: the grade_serial loop with activation gating — a
-/// dormant fault is simply not injected for that pattern.
-template <class Ev>
-void grade_windowed_serial(Ev& ev, const std::vector<Fault>& faults,
-                           const PatternSet& patterns,
-                           const ObserveSet& observe,
-                           const std::uint8_t* reach, std::uint8_t* flags) {
-  std::vector<std::uint64_t> good_out(observe.size());
-  std::vector<std::uint64_t> keys(faults.size());
-  for (std::size_t f = 0; f < faults.size(); ++f) {
-    keys[f] = fault_stream_key(faults[f]);
-  }
-  for (std::size_t p = 0; p < patterns.size(); ++p) {
-    apply_pattern_broadcast(ev, patterns, p);
-    ev.eval();
-    for (std::size_t o = 0; o < observe.size(); ++o) {
-      good_out[o] = ev.value(observe[o]);
-    }
-    for (std::size_t f = 0; f < faults.size(); ++f) {
-      if (flags[f]) continue;
-      if (reach && !reach[faults[f].site.gate]) continue;
-      if (!fault_active(keys[f], faults[f].model, p)) continue;
-      ev.inject(faults[f].site, faults[f].stuck_value, ~std::uint64_t{0});
-      ev.eval();
-      for (std::size_t o = 0; o < observe.size(); ++o) {
-        if ((good_out[o] ^ ev.value(observe[o])) & 1u) {
-          flags[f] = 1;
-          break;
-        }
-      }
-      ev.clear_faults();
     }
   }
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <type_traits>
 
 #include "common/bits.hpp"
 #include "fault/sim_detail.hpp"
@@ -12,16 +11,12 @@ namespace sbst::fault {
 
 namespace {
 
-// Faults per fault-partitioned task: a multiple of the context's lane-packed
-// batch size (64 * lanes - 1), so batches stay full; small enough that
-// static striding load-balances fault dropping, large enough to amortize
-// per-task evaluator construction. Depends only on the context (never the
-// thread count), so chunk boundaries — and therefore flags — stay
-// deterministic.
-std::size_t chunk_faults(const EngineContext& ctx) {
-  const std::size_t batch = 64 * ctx.lanes() - 1;
-  return batch * std::max<std::size_t>(1, 1008 / batch);
-}
+// Faults per fault-partitioned task: a multiple of the lane-packed batch
+// size (255 faults beside the good machine), so batches stay full; small
+// enough that static striding load-balances fault dropping, large enough to
+// amortize per-task evaluator construction. Never depends on the thread
+// count, so chunk boundaries — and therefore flags — stay deterministic.
+constexpr std::size_t kChunkFaults = (GradeEvaluator::kLanes - 1) * 3;
 
 /// Runs a plan on the external pool if one was lent in, else on a per-call
 /// pool sized by the usual num_threads resolution.
@@ -45,18 +40,14 @@ void GradingPlan::add_comb(const EngineContext& ctx,
   if (faults.empty()) return;
   std::uint8_t* flags = out.detected_flags.data();
 
-  const FaultModel model = detail::list_model(faults);
-  const std::size_t chunk = chunk_faults(ctx);
-
-  if (model == FaultModel::kTransition) {
-    // The launch/capture pairing needs good LINE values, which only the
-    // reference evaluator can provide post-fusion — precomputed once here,
-    // shared read-only by every chunk task.
+  if (detail::list_model(faults) == FaultModel::kTransition) {
+    // The launch/capture pairing needs good LINE values — precomputed once
+    // here, shared read-only by every chunk task.
     auto& baseline = transition_storage_.emplace_back(
         detail::make_transition_baseline(ctx.netlist(), patterns,
                                          ctx.observe()));
-    for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, faults.size());
+    for (std::size_t begin = 0; begin < faults.size(); begin += kChunkFaults) {
+      const std::size_t end = std::min(begin + kChunkFaults, faults.size());
       tasks_.push_back([&ctx, &faults, &patterns, &baseline, flags, begin,
                         end] {
         ctx.grade_with_evaluator([&](auto& ev) {
@@ -71,36 +62,16 @@ void GradingPlan::add_comb(const EngineContext& ctx,
 
   // Fault-free responses, computed once here and shared read-only by every
   // chunk task of this grading.
-  auto& good_out = good_storage_.emplace_back(patterns.block_count());
-  ctx.grade_with_evaluator([&](auto& good) {
-    constexpr unsigned W = std::decay_t<decltype(good)>::kWords;
-    const std::size_t n_blocks = patterns.block_count();
-    for (std::size_t b = 0; b < n_blocks; b += W) {
-      detail::apply_block_group(good, patterns, b);
-      good.eval();
-      for (unsigned w = 0; w < W && b + w < n_blocks; ++w) {
-        good_out[b + w].resize(ctx.observe().size());
-        for (std::size_t o = 0; o < ctx.observe().size(); ++o) {
-          good_out[b + w][o] = good.value_word(ctx.observe()[o], w);
-        }
-      }
-    }
+  auto& good = good_storage_.emplace_back();
+  ctx.grade_with_evaluator([&](auto& ev) {
+    good = detail::comb_good_responses(ev, patterns, ctx.observe());
   });
-  const bool windowed = model != FaultModel::kStuckAt;
-  for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, faults.size());
-    tasks_.push_back([&ctx, &faults, &patterns, &good_out, flags, begin, end,
-                      windowed] {
+  for (std::size_t begin = 0; begin < faults.size(); begin += kChunkFaults) {
+    const std::size_t end = std::min(begin + kChunkFaults, faults.size());
+    tasks_.push_back([&ctx, &faults, &patterns, &good, flags, begin, end] {
       ctx.grade_with_evaluator([&](auto& ev) {
-        if (windowed) {
-          detail::grade_windowed_blocks(ev, faults, begin, end, patterns,
-                                        ctx.observe(), good_out, ctx.reach(),
-                                        flags);
-        } else {
-          detail::grade_comb_blocks(ev, faults, begin, end, patterns,
-                                    ctx.observe(), good_out, ctx.reach(),
-                                    flags);
-        }
+        detail::grade_comb_blocks(ev, faults, begin, end, patterns,
+                                  ctx.observe(), good, ctx.reach(), flags);
       });
     });
   }
@@ -114,15 +85,13 @@ void GradingPlan::add_seq(const EngineContext& ctx,
   if (faults.empty()) return;
   std::uint8_t* flags = out.detected_flags.data();
 
-  const FaultModel model = detail::list_model(faults);
-  if (model == FaultModel::kTransition) {
+  if (detail::list_model(faults) == FaultModel::kTransition) {
     throw std::invalid_argument(
         "GradingPlan::add_seq: transition faults are combinational-only "
         "(launch/capture pattern pairs); use add_comb");
   }
-  const std::size_t chunk = chunk_faults(ctx);
-  for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, faults.size());
+  for (std::size_t begin = 0; begin < faults.size(); begin += kChunkFaults) {
+    const std::size_t end = std::min(begin + kChunkFaults, faults.size());
     tasks_.push_back([&ctx, &faults, &stimulus, flags, begin, end] {
       ctx.grade_with_evaluator([&](auto& ev) {
         detail::grade_seq_batches(ev, faults, begin, end, stimulus,
@@ -158,8 +127,7 @@ CoverageResult simulate_comb_parallel(const netlist::Netlist& nl,
                                       const ObserveSet& observe,
                                       const SimOptions& options) {
   detail::require_combinational(nl, "simulate_comb_parallel");
-  const EngineContext ctx(options.engine, nl, observe, options.compiled,
-                          options.reach, options.lanes, options.netlist_opt,
+  const EngineContext ctx(nl, observe, options.compiled, options.reach,
                           options.store);
   CoverageResult res;
   GradingPlan plan;
@@ -174,8 +142,7 @@ CoverageResult simulate_seq_parallel(const netlist::Netlist& nl,
                                      const SeqStimulus& stimulus,
                                      const ObserveSet& observe,
                                      const SimOptions& options) {
-  const EngineContext ctx(options.engine, nl, observe, options.compiled,
-                          options.reach, options.lanes, options.netlist_opt,
+  const EngineContext ctx(nl, observe, options.compiled, options.reach,
                           options.store);
   CoverageResult res;
   GradingPlan plan;

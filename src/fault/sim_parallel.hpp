@@ -1,20 +1,19 @@
 // Parallel fault-simulation engines: pattern-parallel PPSFP blocks, lane-
 // packed sequential batches, and a fault-partitioned thread pool.
 //
-// Both engines grade the same contract as sim.hpp and are cross-checked
-// against those oracles by the differential tests in
+// Both grade the same contract as sim.hpp and are cross-checked against the
+// test-only oracles by the differential tests in
 // tests/test_fault_parallel.cpp:
 //
 //  * simulate_comb_parallel: combinational grading. Each worker runs the
-//    block-at-a-time PPSFP of simulate_comb over its fault slice (64 * lanes
-//    patterns per eval()) against fault-free responses precomputed once.
-//  * simulate_seq_parallel: sequential grading; workers run simulate_seq's
-//    parallel-fault batches (the good machine in lane 0, 64 * lanes - 1
-//    faulty machines beside it) over disjoint fault slices.
+//    block-at-a-time PPSFP kernel over its fault slice (256 patterns per
+//    eval()) against fault-free responses precomputed once.
+//  * simulate_seq_parallel: sequential grading; workers run the
+//    parallel-fault batches (the good machine in lane 0, 255 faulty
+//    machines beside it) over disjoint fault slices.
 //
-// Both compose with the evaluation engines in engine.hpp: with a compiled
-// engine the netlist is compiled once and every worker runs its own
-// CompiledEvaluator over the shared immutable program. SimOptions can lend
+// The netlist is compiled once (engine.hpp) and every worker runs its own
+// evaluator over the shared immutable program. SimOptions can lend
 // in externally owned artifacts — a persistent ThreadPool, a pre-compiled
 // netlist, a reach prefilter — so a long-lived caller (core::GradingSession)
 // pays for pool startup, compilation, and cone marking once instead of per
@@ -27,10 +26,10 @@
 // what keeps the pool busy without ever oversubscribing.
 //
 // Determinism: a fault's detection flag depends only on that fault, the
-// netlist, and the stimulus — never on which lane, batch, thread, or engine
-// graded it — and workers write disjoint slices of one shared flag vector.
-// Results are therefore bitwise-identical for every thread count, including
-// 1, and for every engine.
+// netlist, and the stimulus — never on which lane, batch, or thread graded
+// it — and workers write disjoint slices of one shared flag vector.
+// Results are therefore bitwise-identical for every thread count,
+// including 1.
 #pragma once
 
 #include <deque>
@@ -48,30 +47,15 @@ struct SimOptions {
   /// env var if set, else std::thread::hardware_concurrency(). Ignored when
   /// `pool` is set.
   unsigned num_threads = 0;
-  /// Evaluation engine (detection flags are identical for every choice).
-  /// Defaults to the event-driven compiled engine, overridable via the
-  /// SBST_ENGINE environment variable.
-  Engine engine = default_engine();
-  /// Lane-block width in 64-bit words for the compiled engines: 4 packs 255
-  /// faults + the good machine per sequential eval() and 256 patterns per
-  /// combinational one. 0 = default_lanes() (SBST_LANES env var, else 4).
-  /// Detection flags are identical for every width; the reference engine
-  /// ignores it.
-  unsigned lanes = 0;
-  /// Netlist-compile optimization passes (const prop, inverter fusion, dead
-  /// sweep) when no pre-compiled netlist is lent in: 1 = on, 0 = off, -1 =
-  /// default_netlist_opt() (SBST_NETLIST_OPT env var, else on). Ignored when
-  /// `compiled` is set.
-  int netlist_opt = -1;
   /// Externally owned worker pool; when set, grading runs on it instead of
   /// constructing a per-call pool. Must not currently be executing a
   /// run_static batch (the pool is not reentrant).
   ThreadPool* pool = nullptr;
-  /// Pre-compiled netlist for the compiled engines; must be compiled from
-  /// the netlist being graded. nullptr = compile per call.
+  /// Pre-compiled netlist; must be compiled from the netlist being graded.
+  /// nullptr = compile per call.
   const netlist::CompiledNetlist* compiled = nullptr;
   /// Precomputed fanin-cone prefilter matching the observe set, indexed per
-  /// gate. nullptr = compute per call (compiled engines only).
+  /// gate. nullptr = compute per call.
   const std::uint8_t* reach = nullptr;
   /// Persistent artifact store probed (and written back) when no
   /// pre-compiled netlist is lent in; detection flags are identical with it
@@ -124,7 +108,7 @@ class GradingPlan {
   std::vector<std::function<void()>> tasks_;
   // Fault-free responses for combinational gradings; deque keeps the
   // references captured by queued tasks stable.
-  std::deque<std::vector<std::vector<std::uint64_t>>> good_storage_;
+  std::deque<detail::GoodResponses> good_storage_;
   // Reference-evaluator baselines for transition gradings (same stable-
   // reference contract as good_storage_).
   std::deque<detail::TransitionBaseline> transition_storage_;

@@ -1,6 +1,5 @@
-// Compiled levelized netlist evaluation: multi-word SIMD lane blocks,
-// event-driven incremental re-evaluation, and compile-time netlist
-// optimization passes.
+// Compiled levelized netlist evaluation: multi-word SIMD lane blocks and
+// event-driven incremental re-evaluation.
 //
 // The reference Evaluator (eval.hpp) walks the Gate structs in topological
 // order on every eval(), probing a hash map for pin forces on each fetch.
@@ -19,43 +18,22 @@
 //    slot = gate*3 + pin) blocks — no hash map — and only the touched
 //    entries are reverted on clear_faults().
 //
-// Event-driven mode: every mutation (set_input, inject, clear_faults, DFF
-// state change) schedules the affected gate on a level-bucketed worklist;
-// eval() re-evaluates scheduled gates level by level, propagating to a
-// gate's fanout only when its W-word block actually changed, and stops as
-// soon as the frontier is empty. A single stuck-at fault therefore
-// re-simulates only its fanout cone. While a transient fault is active
-// (inject ... clear_faults with no input/state change in between), changed
-// blocks are recorded in an undo log so teardown restores the fault-free
-// baseline in O(touched) without re-evaluating anything.
-//
-// Compile-time optimization passes (CompileOptions, off by default so a
-// bare CompiledNetlist stays bit-for-bit the reference structure):
-//
-//  * fuse_inverters: every gate input pin that reads a kBuf/kNot chain is
-//    retargeted to the chain's source with the chain's inversion parity
-//    folded into a per-pin invert mask in the opcode table. DFF D pins are
-//    never fused (the reference quirk below). Faults on bypassed chain
-//    gates are remapped at inject() time onto the retargeted pin slots
-//    (with parity), so detection flags never change.
-//  * const_prop: gates whose (post-fusion) pins are tied to constants are
-//    folded to cheaper ops (Buf/Not/And/Or/Const). A folded gate keeps its
-//    original opcode and inputs on the side; whenever a pin force or a
-//    fault on a consumed constant is active on it, evaluation falls back
-//    to the original form, so fault behavior is exact.
-//  * dead_sweep: gates outside the union of observe cones (the fanin cone
-//    of ALL declared outputs, plus everything the fallback paths above may
-//    read) are dropped from the evaluation order and the fanout CSR. A
-//    fault on a swept gate is unobservable in the reference engine too, so
-//    flags are unchanged.
+// Evaluation is event-driven: every mutation (set_input, inject,
+// clear_faults, DFF state change) schedules the affected gate on a
+// level-bucketed worklist; eval() re-evaluates scheduled gates level by
+// level, propagating to a gate's fanout only when its W-word block actually
+// changed, and stops as soon as the frontier is empty. A single stuck-at
+// fault therefore re-simulates only its fanout cone. Callers that change
+// the whole stimulus at once ask for one level-major full sweep instead
+// (request_full_eval()). While a transient fault is active (inject ...
+// clear_faults with no input/state change in between), changed blocks are
+// recorded in an undo log so teardown restores the fault-free baseline in
+// O(touched) without re-evaluating anything.
 //
 // The lane semantics, the force semantics (including the reference quirk
-// that DFFs ignore pin forces on their D input), and every value observable
-// on a live net are bitwise-identical to the reference Evaluator for any
-// call sequence that injects at most one stuck-at fault per lane (the
-// contract every fault simulator in src/fault obeys). Without optimization
-// passes the equivalence holds for arbitrary force combinations and every
-// net.
+// that DFFs ignore pin forces on their D input), and every net value are
+// bitwise-identical to the reference Evaluator for any call sequence and
+// any force combination.
 #pragma once
 
 #include <array>
@@ -84,49 +62,27 @@
 
 namespace sbst::netlist {
 
-/// Compile-time netlist optimization toggles. Default: all off (the
-/// compiled structure mirrors the Netlist gate-for-gate).
-struct CompileOptions {
-  bool const_prop = false;
-  bool fuse_inverters = false;
-  bool dead_sweep = false;
-
-  bool any() const { return const_prop || fuse_inverters || dead_sweep; }
-  static constexpr CompileOptions all() {
-    return CompileOptions{true, true, true};
-  }
-  friend bool operator==(const CompileOptions&,
-                         const CompileOptions&) = default;
-};
-
 class CompiledNetlist {
  public:
-  explicit CompiledNetlist(const Netlist& nl,
-                           const CompileOptions& opts = {});
+  explicit CompiledNetlist(const Netlist& nl);
 
   const Netlist& netlist() const { return *nl_; }
+  /// Number of gates; a full sweep evaluates every one of them.
   std::size_t size() const { return op_.size(); }
-  const CompileOptions& options() const { return opts_; }
-
-  /// Gates that survived the optimization passes (== size() when no pass
-  /// ran); the number of gates a full sweep evaluates.
-  std::size_t live_gates() const { return order_.size(); }
 
   /// Number of combinational levels (sources are level 0).
   unsigned levels() const { return n_levels_; }
 
   /// Marks every gate in the transitive fanin of `roots` (roots included),
-  /// traversing ORIGINAL combinational edges and DFF D edges — the
-  /// pre-optimization structure, so the prefilter is identical for every
-  /// CompileOptions. A stuck-at fault at a gate outside this cone can never
-  /// change a root's value, so fault simulation may skip it without
-  /// altering detection flags.
+  /// traversing combinational edges and DFF D edges. A stuck-at fault at a
+  /// gate outside this cone can never change a root's value, so fault
+  /// simulation may skip it without altering detection flags.
   std::vector<std::uint8_t> fanin_cone(const std::vector<NetId>& roots) const;
 
   /// Binary-image format version. Part of every artifact-store key, so a
   /// layout change makes old entries miss (and rebuild) instead of
   /// deserializing garbage.
-  static constexpr std::uint32_t kSerialVersion = 1;
+  static constexpr std::uint32_t kSerialVersion = 2;
 
   /// Appends a versioned binary image of the compiled structure to `w`.
   /// The image captures only what compilation derived — the source netlist
@@ -145,51 +101,20 @@ class CompiledNetlist {
   template <unsigned W>
   friend class CompiledEvaluatorT;
 
-  /// inject() side effect on a retargeted pin: force slot `slot` to the
-  /// injected value xor `invert`.
-  struct Remap {
-    std::uint32_t slot;
-    std::uint8_t invert;
-  };
-
   struct DeserializeTag {};
   /// Shell for deserialize(): binds the netlist, fills nothing.
-  CompiledNetlist(const Netlist& nl, const CompileOptions& opts,
-                  DeserializeTag)
-      : nl_(&nl), opts_(opts) {}
+  CompiledNetlist(const Netlist& nl, DeserializeTag) : nl_(&nl) {}
 
   void build_order_and_fanout();
-  void optimize();
-
-  const std::uint8_t* orig_ops() const {
-    return orig_op_.empty() ? op_.data() : orig_op_.data();
-  }
-  const NetId* orig_ins() const {
-    return orig_in_.empty() ? in_.data() : orig_in_.data();
-  }
 
   const Netlist* nl_;
-  CompileOptions opts_;
   std::vector<std::uint8_t> op_;          // GateKind, indexed by net id
   std::vector<NetId> in_;                 // 3 slots per gate, kNoNet padded
-  std::vector<std::uint8_t> inv_;         // per-pin invert mask, bit p
-  std::vector<std::uint8_t> orig_op_;     // pre-optimization opcode (if any())
-  std::vector<NetId> orig_in_;            // pre-optimization inputs (if any())
-  std::vector<std::uint8_t> folded_;      // const-folded: fall back under forces
-  std::vector<std::uint8_t> live_;        // survives dead sweep
   std::vector<std::uint32_t> level_;      // combinational level per gate
-  std::vector<NetId> order_;              // live gates, level-major, id-minor
+  std::vector<NetId> order_;              // all gates, level-major, id-minor
   std::vector<std::uint32_t> fan_begin_;  // CSR offsets into fan_, size n+1
-  std::vector<NetId> fan_;                // combinational fanout targets (live)
-  std::vector<NetId> dffs_;               // live DFFs
-  // Fusion fault remap: per gate, the retargeted pin slots a force injected
-  // on this gate must be copied to. Empty vectors when no pass ran.
-  std::vector<std::uint32_t> remap_begin_;
-  std::vector<Remap> remap_;
-  // Const-prop fault markers: per gate, the folded gates whose original
-  // evaluation must be re-activated while a fault sits on this gate.
-  std::vector<std::uint32_t> marker_begin_;
-  std::vector<NetId> marker_;
+  std::vector<NetId> fan_;                // combinational fanout targets
+  std::vector<NetId> dffs_;               // every DFF, in id order
   unsigned n_levels_ = 0;
 };
 
@@ -207,15 +132,12 @@ class CompiledEvaluatorT {
   static constexpr unsigned kWords = W;
   static constexpr unsigned kLanes = 64 * W;
 
-  explicit CompiledEvaluatorT(const CompiledNetlist& cn,
-                              bool event_driven = true);
-  explicit CompiledEvaluatorT(const Netlist& nl, bool event_driven = true);
-  explicit CompiledEvaluatorT(std::shared_ptr<const CompiledNetlist> cn,
-                              bool event_driven = true);
+  explicit CompiledEvaluatorT(const CompiledNetlist& cn);
+  explicit CompiledEvaluatorT(const Netlist& nl);
+  explicit CompiledEvaluatorT(std::shared_ptr<const CompiledNetlist> cn);
 
   const Netlist& netlist() const { return cn_->netlist(); }
   const CompiledNetlist& compiled() const { return *cn_; }
-  bool event_driven() const { return event_driven_; }
 
   // ---- stimulus (mirrors Evaluator) ---------------------------------------
 
@@ -262,13 +184,10 @@ class CompiledEvaluatorT {
   /// Forces `site` to `stuck_value` in the lanes selected per word.
   void inject_block(const Site& site, bool stuck_value,
                     const std::uint64_t* lane_mask);
-  /// Removes any force on `site` — both polarities, including the fused
-  /// remap slots — in the lanes selected per word, leaving forces in other
-  /// lanes (and on other sites) untouched. The site stays listed for
-  /// clear_faults() teardown and its const-prop fallback activations stay
-  /// in place (the original evaluation computes the same values as the
-  /// folded form once the force is zero), so releasing and re-injecting
-  /// between evaluations is cheap and safe. This is the cycle-windowed
+  /// Removes any force on `site` — both polarities — in the lanes selected
+  /// per word, leaving forces in other lanes (and on other sites) untouched.
+  /// The site stays listed for clear_faults() teardown, so releasing and
+  /// re-injecting between evaluations is cheap and safe. This is the cycle-windowed
   /// injection primitive the transient-SEU / intermittent fault models use
   /// to toggle a lane's fault between sequential cycles; the block-granular
   /// undo log keeps working across it.
@@ -294,8 +213,8 @@ class CompiledEvaluatorT {
   void step();
   void reset_state(bool value = false);
 
-  /// Copies the state of the live DFFs into `out`: W words per flip-flop,
-  /// in compiled DFF order (swept DFFs are never read, so they carry none).
+  /// Copies the state of the DFFs into `out`: W words per flip-flop, in
+  /// compiled DFF order.
   void save_state(std::vector<std::uint64_t>& out) const;
   /// Restores a save_state() snapshot and marks the next eval() as a full
   /// sweep: every lane of every DFF may have changed.
@@ -331,7 +250,7 @@ class CompiledEvaluatorT {
   // ---- instrumentation ----------------------------------------------------
 
   /// Cumulative count of gate evaluations performed by eval() calls (a full
-  /// sweep adds live_gates(); an event pass adds only the gates it visited).
+  /// sweep adds size(); an event pass adds only the gates it visited).
   /// Used by the throughput bench to report average active-cone size per
   /// fault.
   std::uint64_t gate_evals() const { return gate_evals_; }
@@ -339,30 +258,21 @@ class CompiledEvaluatorT {
 
  private:
   CompiledEvaluatorT(std::shared_ptr<const CompiledNetlist> owned,
-                     const CompiledNetlist& cn, bool event_driven);
+                     const CompiledNetlist& cn);
   SBST_ALWAYS_INLINE void compute(NetId g,
                                   std::uint64_t* SBST_RESTRICT out) const;
   SBST_ALWAYS_INLINE void compute_plain(NetId g,
                                         std::uint64_t* SBST_RESTRICT out) const;
-  SBST_ALWAYS_INLINE void compute_orig(NetId g,
-                                       std::uint64_t* SBST_RESTRICT out) const;
   template <bool kForces>
   void full_sweep();
   void full_eval();
   void event_eval();
   void schedule(NetId g);
-  void schedule_live(NetId g) {
-    if (cn_->live_[g]) schedule(g);
-  }
   void invalidate_undo();
-  void force_slot(std::uint32_t slot, bool stuck_value,
-                  const std::uint64_t* lane_mask);
   void update_dispatch(NetId g);
 
   std::shared_ptr<const CompiledNetlist> owned_;  // only for the Netlist ctor
   const CompiledNetlist* cn_;
-  bool event_driven_;
-  bool opt_;  // any optimization pass ran (enables the fallback machinery)
 
   std::vector<std::uint64_t> values_;  // net * W + word
   std::vector<std::uint64_t> inputs_;
@@ -381,18 +291,15 @@ class CompiledEvaluatorT {
   // all release_block()ed (blocks back to zero) is not double-listed (and
   // pin_forced_ not double-counted) when re-injected.
   std::vector<std::uint8_t> pin_listed_;
-  std::vector<std::uint16_t> fallback_cnt_;     // const-marker activations
   // Per-gate compute dispatch, folded from the force state above so the hot
-  // loops do one predictable byte test instead of three scattered loads:
-  // 0 = compute_plain and no output force; else kDispatchOrig/Pins selects
-  // the compute routine and kDispatchOut requests the output-force blend.
-  static constexpr std::uint8_t kDispatchOrig = 1;
-  static constexpr std::uint8_t kDispatchPins = 2;
-  static constexpr std::uint8_t kDispatchOut = 4;
+  // loops do one predictable byte test instead of two scattered loads:
+  // 0 = compute_plain and no output force; kDispatchPins selects the
+  // pin-forcing compute and kDispatchOut requests the output-force blend.
+  static constexpr std::uint8_t kDispatchPins = 1;
+  static constexpr std::uint8_t kDispatchOut = 2;
   std::vector<std::uint8_t> dispatch_;
   std::vector<NetId> touched_out_;
   std::vector<std::uint32_t> touched_pin_;
-  std::vector<NetId> touched_fallback_;  // one entry per activation
   bool has_faults_ = false;
 
   // Event machinery.

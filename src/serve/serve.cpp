@@ -112,8 +112,8 @@ bool default_models(const std::vector<fault::FaultModel>& models) {
   return models.size() == 1 && models[0] == fault::FaultModel::kStuckAt;
 }
 
-// Selected fault models, resolved. Stderr only, like the engine config: the
-// golden-diffed stdout must not change with the default selection.
+// Selected fault models, resolved. Stderr only: the golden-diffed stdout
+// must not change with the default selection.
 void print_fault_model_config(const std::vector<fault::FaultModel>& models,
                               std::FILE* err) {
   std::string joined;
@@ -178,25 +178,6 @@ bool injectable_cut(CutId id) {
          id == CutId::kMultiplier;
 }
 
-// Selected engine / lane / optimization configuration, resolved to what the
-// gradings will actually run. Stderr only: stdout is golden-diffed across
-// widths and engines.
-void print_engine_config(const fault::SimOptions& sim, std::FILE* err) {
-  const bool reference = sim.engine == fault::Engine::kReference;
-  const unsigned lanes =
-      reference ? 1
-                : (sim.lanes == 0 ? fault::default_lanes()
-                                  : (sim.lanes == 4 ? 4u : 1u));
-  const bool opt = !reference &&
-                   (sim.netlist_opt < 0 ? fault::default_netlist_opt()
-                                        : sim.netlist_opt != 0);
-  std::fprintf(err,
-               "# config: engine %s, lanes %u (%u fault lanes/sequential "
-               "pass), netlist-opt %s\n",
-               fault::engine_name(sim.engine), lanes, 64 * lanes - 1,
-               opt ? "on" : "off");
-}
-
 void print_store_summary(const core::GradingSession& session,
                          const store::ArtifactStore* store, std::FILE* err) {
   if (!store) return;
@@ -212,7 +193,6 @@ int render_evaluate(GradingSession& session, const fault::SimOptions& sim,
                     bool cpu_stats, std::FILE* out, std::FILE* err,
                     const std::vector<fault::FaultModel>& fault_models) {
   const std::vector<fault::FaultModel> models = resolve_models(fault_models);
-  print_engine_config(sim, err);
   print_fault_model_config(models, err);
   TestProgramBuilder builder;
   builder.add_default_routines(session.model());
@@ -259,7 +239,7 @@ int render_evaluate(GradingSession& session, const fault::SimOptions& sim,
                static_cast<unsigned long long>(ev.total.pipeline_stall_cycles),
                static_cast<unsigned long long>(ev.total.data_references()));
   // Stage timings go to stderr: stdout must stay byte-identical for every
-  // thread count / engine / cache / store setting (the CI determinism check
+  // thread count / cache / store setting (the CI determinism check
   // diffs it), while wall-clock never is.
   std::fprintf(err,
                "# stages (s): trace %.3f collapse %.3f compile %.3f "
@@ -273,14 +253,15 @@ int render_evaluate(GradingSession& session, const fault::SimOptions& sim,
 // Guarded injection campaign over the injectable CUTs: every fault gets a
 // classified RunOutcome; the table splits detections into signature vs
 // symptom. Stdout is deterministic for any thread count / cache setting
-// (the CI smoke diffs it); wall-clock goes to stderr.
-int render_campaign(GradingSession& session, const fault::SimOptions& sim,
+// (the CI smoke diffs it); wall-clock goes to stderr. Faulty runs use the
+// session pool, so the SimOptions (kept for symmetry with render_evaluate)
+// are not consulted.
+int render_campaign(GradingSession& session, const fault::SimOptions&,
                     std::size_t max_faults, const std::vector<CutId>& cuts,
                     std::FILE* out, std::FILE* err,
                     const std::vector<fault::FaultModel>& fault_models,
                     const RequestBudget* budget) {
   const std::vector<fault::FaultModel> models = resolve_models(fault_models);
-  print_engine_config(sim, err);
   print_fault_model_config(models, err);
   const bool legacy = default_models(models);
   const ProcessorModel& model = session.model();
@@ -1054,8 +1035,6 @@ int run_serve(const ProcessorModel& model, const ServeOptions& options,
   SessionOptions sopts;
   sopts.num_threads = options.sim.num_threads;
   sopts.cache = options.session_cache;
-  sopts.lanes = options.sim.lanes;
-  sopts.netlist_opt = options.sim.netlist_opt;
   sopts.budget_factor = options.budget_factor;
   sopts.store = store;
   GradingSession session(model, sopts);
@@ -1101,8 +1080,7 @@ int run_serve(const ProcessorModel& model, const ServeOptions& options,
 
   ServerState st{session, store.get(), options, journal.get()};
 
-  std::fprintf(err, "# serve: ready (engine %s, store %s)\n",
-               fault::engine_name(options.sim.engine),
+  std::fprintf(err, "# serve: ready (store %s)\n",
                store ? store->dir().c_str() : "off");
   if (journal) {
     std::fprintf(err, "# serve: journal %s (next seq %llu)\n",

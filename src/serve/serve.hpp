@@ -22,9 +22,9 @@
 // would print to stdout — the renderers below are the SAME code both paths
 // call — followed by one terminator line: `ok <verb>` on success or
 // `err <detail>` on failure. The stream is flushed after every request.
-// Timings, engine config, and store summaries go to `err` only, so the
-// response stream stays byte-deterministic for any engine / lanes / thread
-// count / store temperature.
+// Timings, fault-model config, and store summaries go to `err` only, so the
+// response stream stays byte-deterministic for any thread count / store
+// temperature.
 // Robustness layer (the hardened daemon):
 //
 //  * Concurrent request handling (`--serve-threads N`): N workers drain a
@@ -139,9 +139,6 @@ bool parse_fault_model_list(const std::string& spec,
 
 /// True for the CUTs the injection campaign can target (alu, shifter, mul).
 bool injectable_cut(core::CutId id);
-
-/// Resolved engine/lane/optimization configuration, to `err` only.
-void print_engine_config(const fault::SimOptions& sim, std::FILE* err);
 
 /// Per-artifact store counters of `session` (one line, `err` audience).
 void print_store_summary(const core::GradingSession& session,

@@ -56,8 +56,6 @@ std::vector<std::uint8_t> ArtifactKey::bytes() const {
   w.put_u32(version);
   w.put_u32(cut);
   w.put_u8(mode);
-  w.put_u8(lanes);
-  w.put_u8(opts);
   w.put_u64(content);
   w.put_string(tag);
   return w.take();

@@ -42,7 +42,7 @@ namespace sbst::store {
 /// so equal artifacts always produce equal keys:
 ///
 ///   universe:  kind, version, content (netlist hash)
-///   compiled:  kind, version, lanes, opts, content
+///   compiled:  kind, version, content
 ///   observe:   kind, cut, mode, content            (in-memory only)
 ///   cone:      kind, cut, mode, content            (in-memory only)
 ///   patterns:  kind, version, content, tag
@@ -58,8 +58,6 @@ struct ArtifactKey {
   std::uint32_t version = 0;  // the artifact codec's kSerialVersion
   std::uint32_t cut = 0;      // component id when content alone is not a key
   std::uint8_t mode = 0;      // ObserveMode for observe/cone slots
-  std::uint8_t lanes = 0;     // lane-block width for compiled netlists
-  std::uint8_t opts = 0;      // CompileOptions bits for compiled netlists
   std::uint64_t content = 0;  // content hash of the underlying model
   std::string tag;            // free-form qualifier (e.g. pattern-set name)
 

@@ -1,17 +1,19 @@
 // Differential tests for the compiled levelized evaluator (CompiledNetlist /
 // CompiledEvaluator, netlist/compiled.hpp) against the reference Evaluator,
-// and for the engine-selection layer routing the fault simulators through it.
+// and for the fault simulators built on it against the one-fault-at-a-time
+// oracles (comb_oracle.hpp, seq_oracle.hpp).
 //
 // Strategy: the reference Evaluator is the oracle; every test drives both
 // evaluators through identical call sequences and demands bitwise-identical
-// words on every net, for both the full-sweep (event_driven=false) and the
-// event-driven compiled modes.
+// words on every net, both for event-driven evaluation and for the
+// level-major full sweep that request_full_eval() selects.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "comb_oracle.hpp"
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "fault/pattern.hpp"
@@ -28,12 +30,12 @@
 #include "rtlgen/pipeline.hpp"
 #include "rtlgen/regfile.hpp"
 #include "rtlgen/shifter.hpp"
+#include "seq_oracle.hpp"
 
 namespace sbst::netlist {
 namespace {
 
 using fault::CoverageResult;
-using fault::Engine;
 using fault::Fault;
 using fault::FaultUniverse;
 using fault::PatternSet;
@@ -42,6 +44,21 @@ using fault::SeqStimulus;
 using fault::SimOptions;
 
 // ---- helpers ---------------------------------------------------------------
+
+/// A compiled evaluator that runs every eval() / step() as one level-major
+/// full sweep (the path graders select with request_full_eval() when the
+/// whole stimulus changes) instead of an event-driven worklist pass.
+struct FullSweep : CompiledEvaluator {
+  using CompiledEvaluator::CompiledEvaluator;
+  void eval() {
+    request_full_eval();
+    CompiledEvaluator::eval();
+  }
+  void step() {
+    request_full_eval();
+    CompiledEvaluator::step();
+  }
+};
 
 /// Compares every net's 64-lane word between the oracle and a compiled
 /// evaluator (values_ is the complete observable state after eval()).
@@ -211,8 +228,8 @@ TEST(CompiledNetlist, FaninConeFollowsDffDEdges) {
 TEST(CompiledEval, EveryGateKindMatchesReference) {
   const Netlist nl = every_kind_netlist();
   Evaluator oracle(nl);
-  CompiledEvaluator full(nl, /*event_driven=*/false);
-  CompiledEvaluator event(nl, /*event_driven=*/true);
+  FullSweep full(nl);
+  CompiledEvaluator event(nl);
 
   Rng rng(404);
   for (int iter = 0; iter < 50; ++iter) {
@@ -233,8 +250,8 @@ TEST(CompiledEval, EveryGateKindMatchesReference) {
 TEST(CompiledEval, StemAndBranchForcesOnAllSitesAndLaneMasks) {
   const Netlist nl = every_kind_netlist();
   Evaluator oracle(nl);
-  CompiledEvaluator full(nl, false);
-  CompiledEvaluator event(nl, true);
+  FullSweep full(nl);
+  CompiledEvaluator event(nl);
 
   Rng rng(405);
   const std::uint64_t masks[] = {
@@ -291,7 +308,7 @@ TEST(CompiledEval, DffIgnoresPinForceOnDInputLikeReference) {
   nl.output("y", nl.not_(q));
 
   Evaluator oracle(nl);
-  CompiledEvaluator event(nl, true);
+  CompiledEvaluator event(nl);
 
   for (bool sv : {false, true}) {
     oracle.set_input(a, !sv);
@@ -317,8 +334,8 @@ TEST(CompiledEval, StepAndResetStateMatchReference) {
   Rng rng(406);
   const Netlist nl = random_seq_netlist(rng, 5, 6, 60);
   Evaluator oracle(nl);
-  CompiledEvaluator full(nl, false);
-  CompiledEvaluator event(nl, true);
+  FullSweep full(nl);
+  CompiledEvaluator event(nl);
 
   for (bool init : {false, true}) {
     oracle.reset_state(init);
@@ -343,8 +360,8 @@ TEST(CompiledEval, RandomizedCombOperationSequences) {
     const Netlist nl = random_comb_netlist(rng, 5 + rng.below(5),
                                            40 + rng.below(60));
     Evaluator oracle(nl);
-    CompiledEvaluator full(nl, false);
-    CompiledEvaluator event(nl, true);
+    FullSweep full(nl);
+    CompiledEvaluator event(nl);
 
     for (int op = 0; op < 200; ++op) {
       switch (rng.below(4)) {
@@ -391,8 +408,8 @@ TEST(CompiledEval, RandomizedSeqOperationSequences) {
     const Netlist nl = random_seq_netlist(rng, 4 + rng.below(4),
                                           3 + rng.below(4), 35 + rng.below(40));
     Evaluator oracle(nl);
-    CompiledEvaluator full(nl, false);
-    CompiledEvaluator event(nl, true);
+    FullSweep full(nl);
+    CompiledEvaluator event(nl);
 
     for (int op = 0; op < 150; ++op) {
       switch (rng.below(6)) {
@@ -448,14 +465,14 @@ TEST(CompiledEval, RandomizedSeqOperationSequences) {
   }
 }
 
-// ---- event vs full equivalence on every rtlgen component -------------------
+// ---- event vs full vs reference on every rtlgen component ------------------
 
 void exercise_component(const Netlist& nl, std::uint64_t seed) {
   SCOPED_TRACE(nl.name());
   Evaluator oracle(nl);
   const CompiledNetlist cn(nl);
-  CompiledEvaluator full(cn, false);
-  CompiledEvaluator event(cn, true);
+  FullSweep full(cn);
+  CompiledEvaluator event(cn);
   Rng rng(seed);
 
   FaultUniverse universe(nl);
@@ -523,7 +540,7 @@ TEST(CompiledEval, EventEvalVisitsOnlyTheFanoutCone) {
   const NetId lone = nl.xor_(a, b);
   nl.output("lone", lone);
 
-  CompiledEvaluator ev(nl, /*event_driven=*/true);
+  CompiledEvaluator ev(nl);
   ev.set_input(a, true);
   ev.set_input(b, false);
   ev.eval();  // first eval is a full sweep
@@ -541,26 +558,25 @@ TEST(CompiledEval, EventEvalVisitsOnlyTheFanoutCone) {
 TEST(CompiledEval, FullEvalCountsWholeSweep) {
   Rng rng(77);
   const Netlist nl = random_comb_netlist(rng, 4, 30);
-  CompiledEvaluator ev(nl, /*event_driven=*/false);
+  FullSweep ev(nl);
   ev.eval();
   EXPECT_EQ(ev.gate_evals(), nl.size());
   ev.eval();
   EXPECT_EQ(ev.gate_evals(), 2 * nl.size());
 }
 
-// ---- engine-selection layer ------------------------------------------------
+// ---- production graders vs the one-fault-at-a-time oracles ----------------
 
-TEST(EngineSelect, ParseAndNames) {
-  Engine e = Engine::kReference;
-  EXPECT_TRUE(fault::parse_engine("compiled", e));
-  EXPECT_EQ(e, Engine::kCompiled);
-  EXPECT_TRUE(fault::parse_engine("event", e));
-  EXPECT_EQ(e, Engine::kEvent);
-  EXPECT_TRUE(fault::parse_engine("reference", e));
-  EXPECT_EQ(e, Engine::kReference);
-  EXPECT_FALSE(fault::parse_engine("warp", e));
-  EXPECT_EQ(e, Engine::kReference);  // untouched on failure
-  EXPECT_STREQ(fault::engine_name(Engine::kEvent), "event");
+SeqStimulus random_stimulus(Rng& rng, const Netlist& nl, int cycles) {
+  SeqStimulus st(nl);
+  for (int c = 0; c < cycles; ++c) {
+    std::vector<PortValue> values;
+    for (const Port& p : nl.input_ports()) {
+      values.emplace_back(p.name, rng.next64());
+    }
+    st.add_cycle(values, rng.chance(0.7));
+  }
+  return st;
 }
 
 TEST(EngineSelect, SerialAndCombSimulatorsIdenticalAcrossEngines) {
@@ -571,18 +587,9 @@ TEST(EngineSelect, SerialAndCombSimulatorsIdenticalAcrossEngines) {
     PatternSet ps(nl);
     for (int i = 0; i < 100; ++i) ps.add_random(rng);
 
-    const CoverageResult oracle =
-        fault::simulate_serial(nl, u.collapsed(), ps, {}, Engine::kReference);
-    for (Engine e : {Engine::kCompiled, Engine::kEvent}) {
-      EXPECT_EQ(oracle.detected_flags,
-                fault::simulate_serial(nl, u.collapsed(), ps, {}, e)
-                    .detected_flags)
-          << "serial/" << fault::engine_name(e);
-      EXPECT_EQ(oracle.detected_flags,
-                fault::simulate_comb(nl, u.collapsed(), ps, {}, e)
-                    .detected_flags)
-          << "comb/" << fault::engine_name(e);
-    }
+    EXPECT_EQ(fault::simulate_serial(nl, u.collapsed(), ps).detected_flags,
+              fault::simulate_comb(nl, u.collapsed(), ps).detected_flags)
+        << "seed " << seed;
   }
 }
 
@@ -590,21 +597,9 @@ TEST(EngineSelect, SeqSimulatorIdenticalAcrossEngines) {
   Rng rng(63);
   const Netlist nl = random_seq_netlist(rng, 5, 4, 50);
   FaultUniverse u(nl);
-  SeqStimulus st(nl);
-  for (int c = 0; c < 40; ++c) {
-    std::vector<PortValue> values;
-    for (const Port& p : nl.input_ports()) {
-      values.emplace_back(p.name, rng.next64());
-    }
-    st.add_cycle(values, rng.chance(0.7));
-  }
-  const CoverageResult oracle =
-      fault::simulate_seq(nl, u.collapsed(), st, {}, Engine::kReference);
-  for (Engine e : {Engine::kCompiled, Engine::kEvent}) {
-    EXPECT_EQ(oracle.detected_flags,
-              fault::simulate_seq(nl, u.collapsed(), st, {}, e).detected_flags)
-        << fault::engine_name(e);
-  }
+  const SeqStimulus st = random_stimulus(rng, nl, 40);
+  EXPECT_EQ(fault::grade_seq_oracle(nl, u.collapsed(), st).detected_flags,
+            fault::simulate_seq(nl, u.collapsed(), st).detected_flags);
 }
 
 TEST(EngineSelect, ParallelIdenticalAcrossEnginesThreadsAndLanes) {
@@ -614,18 +609,11 @@ TEST(EngineSelect, ParallelIdenticalAcrossEnginesThreadsAndLanes) {
   PatternSet ps(nl);
   for (int i = 0; i < 130; ++i) ps.add_random(rng);
 
-  const CoverageResult oracle =
-      fault::simulate_serial(nl, u.collapsed(), ps, {}, Engine::kReference);
-  for (Engine e : {Engine::kReference, Engine::kCompiled, Engine::kEvent}) {
-    for (unsigned threads : {1u, 2u, 4u}) {
-      SimOptions opt;
-      opt.num_threads = threads;
-      opt.engine = e;
-      const CoverageResult got =
-          fault::simulate_comb_parallel(nl, u.collapsed(), ps, {}, opt);
-      EXPECT_EQ(oracle.detected_flags, got.detected_flags)
-          << fault::engine_name(e) << "/" << threads << "t";
-    }
+  const CoverageResult oracle = fault::simulate_serial(nl, u.collapsed(), ps);
+  for (unsigned threads : {1u, 2u, 4u}) {
+    const CoverageResult got = fault::simulate_comb_parallel(
+        nl, u.collapsed(), ps, {}, {.num_threads = threads});
+    EXPECT_EQ(oracle.detected_flags, got.detected_flags) << threads << "t";
   }
 }
 
@@ -633,26 +621,12 @@ TEST(EngineSelect, ParallelSeqIdenticalAcrossEnginesAndThreads) {
   Rng rng(65);
   const Netlist nl = random_seq_netlist(rng, 5, 5, 60);
   FaultUniverse u(nl);
-  SeqStimulus st(nl);
-  for (int c = 0; c < 35; ++c) {
-    std::vector<PortValue> values;
-    for (const Port& p : nl.input_ports()) {
-      values.emplace_back(p.name, rng.next64());
-    }
-    st.add_cycle(values, rng.chance(0.7));
-  }
-  const CoverageResult oracle =
-      fault::simulate_seq(nl, u.collapsed(), st, {}, Engine::kReference);
-  for (Engine e : {Engine::kReference, Engine::kCompiled, Engine::kEvent}) {
-    for (unsigned threads : {1u, 3u}) {
-      SimOptions opt;
-      opt.num_threads = threads;
-      opt.engine = e;
-      const CoverageResult got =
-          fault::simulate_seq_parallel(nl, u.collapsed(), st, {}, opt);
-      EXPECT_EQ(oracle.detected_flags, got.detected_flags)
-          << fault::engine_name(e) << "/" << threads << "t";
-    }
+  const SeqStimulus st = random_stimulus(rng, nl, 35);
+  const CoverageResult oracle = fault::grade_seq_oracle(nl, u.collapsed(), st);
+  for (unsigned threads : {1u, 3u}) {
+    const CoverageResult got = fault::simulate_seq_parallel(
+        nl, u.collapsed(), st, {}, {.num_threads = threads});
+    EXPECT_EQ(oracle.detected_flags, got.detected_flags) << threads << "t";
   }
 }
 
@@ -668,22 +642,16 @@ TEST(EngineSelect, RestrictedObserveSetExercisesConePrefilter) {
   ASSERT_GE(outs.size(), 2u);
   const std::vector<NetId> narrow{outs.front()};
 
-  const CoverageResult oracle = fault::simulate_serial(nl, u.collapsed(), ps,
-                                                       narrow,
-                                                       Engine::kReference);
-  for (Engine e : {Engine::kCompiled, Engine::kEvent}) {
-    EXPECT_EQ(oracle.detected_flags,
-              fault::simulate_comb(nl, u.collapsed(), ps, narrow, e)
-                  .detected_flags)
-        << fault::engine_name(e);
-    SimOptions opt;
-    opt.num_threads = 2;
-    opt.engine = e;
-    EXPECT_EQ(oracle.detected_flags,
-              fault::simulate_comb_parallel(nl, u.collapsed(), ps, narrow, opt)
-                  .detected_flags)
-        << fault::engine_name(e) << "/parallel";
-  }
+  const CoverageResult oracle =
+      fault::simulate_serial(nl, u.collapsed(), ps, narrow);
+  EXPECT_EQ(oracle.detected_flags,
+            fault::simulate_comb(nl, u.collapsed(), ps, narrow)
+                .detected_flags);
+  EXPECT_EQ(oracle.detected_flags,
+            fault::simulate_comb_parallel(nl, u.collapsed(), ps, narrow,
+                                          {.num_threads = 2})
+                .detected_flags)
+      << "parallel";
 }
 
 TEST(EngineSelect, RtlgenComponentCoverageIdenticalAcrossEngines) {
@@ -691,26 +659,22 @@ TEST(EngineSelect, RtlgenComponentCoverageIdenticalAcrossEngines) {
   for (const Netlist& nl :
        {rtlgen::build_alu({.width = 4}),
         rtlgen::build_multiplier({.width = 4}),
-        rtlgen::build_control()}) {
+        rtlgen::build_shifter({.width = 8}),
+        rtlgen::build_comparator({.width = 8}), rtlgen::build_control(),
+        rtlgen::build_forwarding_unit()}) {
     SCOPED_TRACE(nl.name());
     FaultUniverse u(nl);
     PatternSet ps(nl);
     for (int i = 0; i < 96; ++i) ps.add_random(rng);
     const CoverageResult oracle =
-        fault::simulate_comb(nl, u.collapsed(), ps, {}, Engine::kReference);
-    for (Engine e : {Engine::kCompiled, Engine::kEvent}) {
-      EXPECT_EQ(oracle.detected_flags,
-                fault::simulate_comb(nl, u.collapsed(), ps, {}, e)
-                    .detected_flags)
-          << fault::engine_name(e);
-      SimOptions opt;
-      opt.num_threads = 4;
-      opt.engine = e;
-      EXPECT_EQ(oracle.detected_flags,
-                fault::simulate_comb_parallel(nl, u.collapsed(), ps, {}, opt)
-                    .detected_flags)
-          << fault::engine_name(e) << "/parallel";
-    }
+        fault::simulate_serial(nl, u.collapsed(), ps);
+    EXPECT_EQ(oracle.detected_flags,
+              fault::simulate_comb(nl, u.collapsed(), ps).detected_flags);
+    EXPECT_EQ(oracle.detected_flags,
+              fault::simulate_comb_parallel(nl, u.collapsed(), ps, {},
+                                            {.num_threads = 4})
+                  .detected_flags)
+        << "parallel";
   }
 }
 

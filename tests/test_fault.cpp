@@ -1,8 +1,10 @@
-// Fault universe, collapsing, and the three fault-simulation engines.
+// Fault universe, collapsing, and the fault simulators against the serial
+// oracle.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "comb_oracle.hpp"
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "fault/pattern.hpp"

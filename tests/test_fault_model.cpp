@@ -1,9 +1,10 @@
 // First-class fault-model taxonomy (stuck-at / transition / transient-SEU /
 // intermittent): naming round-trips, per-model activation streams, the
 // unified-universe transition grading pinned flag-for-flag against the
-// legacy simulate_transition oracle across engines x lanes x threads, the
-// windowed-model determinism matrix, the netlist release API, the
-// FaultUniverse store-codec version bump, and per-model session caching.
+// legacy simulate_transition oracle across thread counts, the windowed-model
+// determinism matrix against the one-fault-at-a-time oracles, the netlist
+// release API, the FaultUniverse store-codec version bump, and per-model
+// session caching.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "comb_oracle.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "core/evaluate.hpp"
@@ -259,25 +261,14 @@ TEST(TransitionDifferential, MatchesLegacyOracleOnEveryRtlgenComponent) {
     // Serial front door.
     expect_same_flags(oracle, simulate_comb(c.nl, u.collapsed(), ps), c.nl,
                       u.collapsed(), c.name);
-    // Parallel front door: engine x lane-width x thread-count matrix.
-    for (const Engine engine :
-         {Engine::kReference, Engine::kCompiled, Engine::kEvent}) {
-      for (const unsigned lanes : {1u, 4u}) {
-        for (const unsigned threads : {1u, 2u, 8u}) {
-          SimOptions so;
-          so.engine = engine;
-          so.lanes = lanes;
-          so.num_threads = threads;
-          const std::string label = std::string(c.name) + "/" +
-                                    engine_name(engine) + "/l" +
-                                    std::to_string(lanes) + "/t" +
-                                    std::to_string(threads);
-          expect_same_flags(oracle,
-                            simulate_comb_parallel(c.nl, u.collapsed(), ps,
-                                                   {}, so),
-                            c.nl, u.collapsed(), label.c_str());
-        }
-      }
+    // Parallel front door across thread counts.
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      const std::string label =
+          std::string(c.name) + "/t" + std::to_string(threads);
+      expect_same_flags(oracle,
+                        simulate_comb_parallel(c.nl, u.collapsed(), ps, {},
+                                               {.num_threads = threads}),
+                        c.nl, u.collapsed(), label.c_str());
     }
   }
 }
@@ -295,24 +286,15 @@ TEST(WindowedDeterminism, CombinationalMatrixIsBitwiseIdentical) {
     const CoverageResult oracle = simulate_serial(nl, u.collapsed(), ps);
     EXPECT_GT(oracle.detected, 0u);
     EXPECT_LT(oracle.detected, oracle.total);
-    for (const Engine engine :
-         {Engine::kReference, Engine::kCompiled, Engine::kEvent}) {
-      for (const unsigned lanes : {1u, 4u}) {
-        for (const unsigned threads : {1u, 2u, 8u}) {
-          SimOptions so;
-          so.engine = engine;
-          so.lanes = lanes;
-          so.num_threads = threads;
-          const std::string label =
-              std::string(fault_model_name(model)) + "/" +
-              engine_name(engine) + "/l" + std::to_string(lanes) + "/t" +
-              std::to_string(threads);
-          expect_same_flags(oracle,
-                            simulate_comb_parallel(nl, u.collapsed(), ps, {},
-                                                   so),
-                            nl, u.collapsed(), label.c_str());
-        }
-      }
+    expect_same_flags(oracle, simulate_comb(nl, u.collapsed(), ps), nl,
+                      u.collapsed(), fault_model_name(model));
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      const std::string label = std::string(fault_model_name(model)) + "/t" +
+                                std::to_string(threads);
+      expect_same_flags(oracle,
+                        simulate_comb_parallel(nl, u.collapsed(), ps, {},
+                                               {.num_threads = threads}),
+                        nl, u.collapsed(), label.c_str());
     }
   }
 }
@@ -327,20 +309,13 @@ TEST(WindowedDeterminism, SequentialMatrixIsBitwiseIdentical) {
     const CoverageResult oracle = grade_seq_oracle(nl, u.collapsed(), st);
     expect_same_flags(oracle, simulate_seq(nl, u.collapsed(), st), nl,
                       u.collapsed(), fault_model_name(model));
-    for (const Engine engine :
-         {Engine::kReference, Engine::kCompiled, Engine::kEvent}) {
-      for (const unsigned threads : {1u, 2u, 8u}) {
-        SimOptions so;
-        so.engine = engine;
-        so.num_threads = threads;
-        const std::string label = std::string(fault_model_name(model)) +
-                                  "/" + engine_name(engine) + "/t" +
-                                  std::to_string(threads);
-        expect_same_flags(oracle,
-                          simulate_seq_parallel(nl, u.collapsed(), st, {},
-                                                so),
-                          nl, u.collapsed(), label.c_str());
-      }
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      const std::string label = std::string(fault_model_name(model)) + "/t" +
+                                std::to_string(threads);
+      expect_same_flags(oracle,
+                        simulate_seq_parallel(nl, u.collapsed(), st, {},
+                                              {.num_threads = threads}),
+                        nl, u.collapsed(), label.c_str());
     }
   }
 }
@@ -373,42 +348,42 @@ TEST(ReleaseApi, ReleasingALaneMatchesReinjectingTheRest) {
   const auto& inputs = nl.inputs();
   const std::vector<netlist::NetId> outputs = nl.output_nets();
 
-  for (const bool event : {false, true}) {
-    for (const bool opt : {false, true}) {
-      const netlist::CompiledNetlist cn(
-          nl, opt ? netlist::CompileOptions::all()
-                  : netlist::CompileOptions{});
-      netlist::CompiledEvaluator ev(cn, event);
-      netlist::CompiledEvaluator fresh(cn, event);
-      // Inject 8 faults in lanes 1..8, release half of them, and require
-      // the surviving lanes to match a from-scratch evaluator that only
-      // ever saw the surviving faults.
-      std::vector<Fault> injected(u.collapsed().begin(),
-                                  u.collapsed().begin() + 8);
-      for (std::size_t j = 0; j < injected.size(); ++j) {
-        ev.inject_lane(injected[j].site, injected[j].stuck_value,
-                       static_cast<unsigned>(j + 1));
+  const netlist::CompiledNetlist cn(nl);
+  for (const bool full_sweep : {false, true}) {
+    netlist::CompiledEvaluator ev(cn);
+    netlist::CompiledEvaluator fresh(cn);
+    // Inject 8 faults in lanes 1..8, release half of them, and require
+    // the surviving lanes to match a from-scratch evaluator that only
+    // ever saw the surviving faults.
+    std::vector<Fault> injected(u.collapsed().begin(),
+                                u.collapsed().begin() + 8);
+    for (std::size_t j = 0; j < injected.size(); ++j) {
+      ev.inject_lane(injected[j].site, injected[j].stuck_value,
+                     static_cast<unsigned>(j + 1));
+    }
+    for (std::size_t j = 0; j < injected.size(); j += 2) {
+      ev.release_lane(injected[j].site, static_cast<unsigned>(j + 1));
+    }
+    fresh.clear_faults();
+    for (std::size_t j = 1; j < injected.size(); j += 2) {
+      fresh.inject_lane(injected[j].site, injected[j].stuck_value,
+                        static_cast<unsigned>(j + 1));
+    }
+    for (std::size_t b = 0; b < ps.block_count(); ++b) {
+      const auto& words = ps.block(b);
+      for (std::size_t k = 0; k < inputs.size(); ++k) {
+        ev.set_input_word(inputs[k], words[k]);
+        fresh.set_input_word(inputs[k], words[k]);
       }
-      for (std::size_t j = 0; j < injected.size(); j += 2) {
-        ev.release_lane(injected[j].site, static_cast<unsigned>(j + 1));
+      if (full_sweep) {
+        ev.request_full_eval();
+        fresh.request_full_eval();
       }
-      fresh.clear_faults();
-      for (std::size_t j = 1; j < injected.size(); j += 2) {
-        fresh.inject_lane(injected[j].site, injected[j].stuck_value,
-                          static_cast<unsigned>(j + 1));
-      }
-      for (std::size_t b = 0; b < ps.block_count(); ++b) {
-        const auto& words = ps.block(b);
-        for (std::size_t k = 0; k < inputs.size(); ++k) {
-          ev.set_input_word(inputs[k], words[k]);
-          fresh.set_input_word(inputs[k], words[k]);
-        }
-        ev.eval();
-        fresh.eval();
-        for (const netlist::NetId out : outputs) {
-          ASSERT_EQ(ev.value(out), fresh.value(out))
-              << "event " << event << " opt " << opt << " block " << b;
-        }
+      ev.eval();
+      fresh.eval();
+      for (const netlist::NetId out : outputs) {
+        ASSERT_EQ(ev.value(out), fresh.value(out))
+            << "full sweep " << full_sweep << " block " << b;
       }
     }
   }

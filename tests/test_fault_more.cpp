@@ -2,6 +2,7 @@
 // boundaries, collapsing on sequential netlists, result accounting.
 #include <gtest/gtest.h>
 
+#include "comb_oracle.hpp"
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "fault/pattern.hpp"

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "comb_oracle.hpp"
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "fault/pattern.hpp"
@@ -209,17 +210,23 @@ TEST(FaultParallel, ThreadCountInvariance) {
 TEST(FaultParallel, PatternCountsAroundLaneBoundary) {
   Rng rng(7);
   const Netlist nl = random_comb_netlist(rng, 5, 60);
-  FaultUniverse u(nl);
-  const auto& faults = u.collapsed();
-  for (std::size_t n_patterns : {1u, 63u, 64u, 65u, 130u}) {
-    Rng prng(1000 + n_patterns);
-    const PatternSet ps = random_patterns(prng, nl, n_patterns);
-    const CoverageResult oracle = simulate_serial(nl, faults, ps);
-    expect_same_flags(oracle, simulate_comb(nl, faults, ps), nl, faults,
-                      "simulate_comb");
-    const CoverageResult got =
-        simulate_comb_parallel(nl, faults, ps, {}, {.num_threads = 2});
-    expect_same_flags(oracle, got, nl, faults, "comb_parallel");
+  // Windowed faults too: their activation streams run on into the padded
+  // lanes of a partial block, which the kernel must mask off.
+  for (const FaultModel model : {FaultModel::kStuckAt,
+                                 FaultModel::kTransientSEU,
+                                 FaultModel::kIntermittent}) {
+    FaultUniverse u(nl, model);
+    const auto& faults = u.collapsed();
+    for (std::size_t n_patterns : {1u, 63u, 64u, 65u, 130u}) {
+      Rng prng(1000 + n_patterns);
+      const PatternSet ps = random_patterns(prng, nl, n_patterns);
+      const CoverageResult oracle = simulate_serial(nl, faults, ps);
+      expect_same_flags(oracle, simulate_comb(nl, faults, ps), nl, faults,
+                        "simulate_comb");
+      const CoverageResult got =
+          simulate_comb_parallel(nl, faults, ps, {}, {.num_threads = 2});
+      expect_same_flags(oracle, got, nl, faults, "comb_parallel");
+    }
   }
 }
 

@@ -93,16 +93,8 @@ TEST(SeqKernel, MatchesIndependentOracleOnRtlgenCuts) {
         const CoverageResult oracle =
             grade_seq_oracle(cut.nl, faults, st, observe);
         EXPECT_GT(oracle.detected, 0u) << label;
-        expect_same_flags(
-            oracle,
-            simulate_seq(cut.nl, faults, st, observe, Engine::kReference),
-            cut.nl, faults, label + "/reference");
-        for (const unsigned lanes : {1u, 4u}) {
-          expect_same_flags(
-              oracle,
-              simulate_seq(cut.nl, faults, st, observe, Engine::kEvent, lanes),
-              cut.nl, faults, label + "/event/l" + std::to_string(lanes));
-        }
+        expect_same_flags(oracle, simulate_seq(cut.nl, faults, st, observe),
+                          cut.nl, faults, label + "/serial");
         expect_same_flags(oracle,
                           simulate_seq_parallel(cut.nl, faults, st, observe,
                                                 {.num_threads = 2}),
@@ -161,8 +153,8 @@ struct DelayNet {
   }
 };
 
-/// Runs the kernel over faults [begin, end) on a fresh W=4 event evaluator
-/// and returns its gate evaluations.
+/// Runs the kernel over faults [begin, end) on a fresh W=4 evaluator and
+/// returns its gate evaluations.
 std::uint64_t kernel_gate_evals(const netlist::CompiledNetlist& cn,
                                 const std::vector<Fault>& faults,
                                 std::size_t begin, std::size_t end,
@@ -188,7 +180,7 @@ TEST(SeqKernelWork, FullyDetectedBatchStopsAtItsDetectionCycle) {
   // reach-excluded and must not keep the batch running.
   constexpr unsigned kLength = 5;
   const DelayNet d(kLength, 0);
-  const netlist::CompiledNetlist cn(d.nl, netlist::CompileOptions::all());
+  const netlist::CompiledNetlist cn(d.nl);
   std::vector<Fault> faults;
   for (NetId q : d.chain) faults.push_back(stuck_at_0(q));
   faults.push_back(stuck_at_0(d.hidden));
@@ -200,7 +192,7 @@ TEST(SeqKernelWork, FullyDetectedBatchStopsAtItsDetectionCycle) {
     std::vector<std::uint8_t> flags(faults.size(), 0);
     EXPECT_EQ(kernel_gate_evals(cn, faults, 0, faults.size(), st, d.observe,
                                 flags),
-              (kLength + 1) * cn.live_gates());
+              (kLength + 1) * cn.size());
     EXPECT_EQ(flags, oracle_flags(d, faults, st));
     EXPECT_EQ(flags.back(), 0);  // the hidden fault
   }
@@ -211,7 +203,7 @@ TEST(SeqKernelWork, FullyDetectedBatchStopsAtItsDetectionCycle) {
     std::vector<std::uint8_t> flags(faults.size(), 0);
     EXPECT_EQ(kernel_gate_evals(cn, faults, 0, faults.size(), st, d.observe,
                                 flags),
-              41 * cn.live_gates());
+              41 * cn.size());
     EXPECT_EQ(flags, oracle_flags(d, faults, st));
   }
   // A batch holding only reach-excluded faults runs no cycle at all.
@@ -234,7 +226,7 @@ TEST(SeqKernelWork, SecondBatchDissolvesIntoTheFirst) {
   constexpr unsigned kLength = 40;
   static_assert(kLength >= detail::kSeqSegment);
   const DelayNet d(kLength, 500);
-  const netlist::CompiledNetlist cn(d.nl, netlist::CompileOptions::all());
+  const netlist::CompiledNetlist cn(d.nl);
   std::vector<Fault> faults;
   for (std::size_t b = 0; b < 2; ++b) {
     for (std::size_t i = 0; i < 250; ++i) {
@@ -253,7 +245,7 @@ TEST(SeqKernelWork, SecondBatchDissolvesIntoTheFirst) {
   const std::uint64_t separate =
       kernel_gate_evals(cn, faults, 0, kBatch, st, d.observe, alone) +
       kernel_gate_evals(cn, faults, kBatch, 2 * kBatch, st, d.observe, alone);
-  EXPECT_EQ(separate, 2 * (kLength + 1) * cn.live_gates());
+  EXPECT_EQ(separate, 2 * (kLength + 1) * cn.size());
   EXPECT_EQ(alone, expect);
 
   // Together: one segment each, then the merged batch runs the rest.
@@ -262,7 +254,7 @@ TEST(SeqKernelWork, SecondBatchDissolvesIntoTheFirst) {
                                                  st, d.observe, together);
   EXPECT_EQ(merged, (2 * detail::kSeqSegment +
                      (kLength + 1 - detail::kSeqSegment)) *
-                        cn.live_gates());
+                        cn.size());
   EXPECT_LT(merged, separate);
   EXPECT_EQ(together, expect);
 }

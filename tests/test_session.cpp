@@ -1,16 +1,19 @@
 // GradingSession: cache-reuse accounting, observe-mode slots, and the
 // differential guarantee — evaluate_program returns bitwise-identical
-// results for every cache setting, evaluation engine, and thread count.
+// results for every cache setting and thread count, and matches the
+// one-fault-at-a-time oracles CUT by CUT.
 #include <gtest/gtest.h>
 
+#include "comb_oracle.hpp"
 #include "core/evaluate.hpp"
+#include "seq_oracle.hpp"
 
 namespace sbst::core {
 namespace {
 
 // A deliberately small program (ALU + memory-controller routines) with tight
-// trace caps so the full cache × engine × thread matrix — including the
-// reference engine — stays fast.
+// trace caps so the full cache × thread matrix and the oracle cross-check
+// stay fast.
 struct Fixture {
   ProcessorModel model;
   TestProgramBuilder builder;
@@ -80,32 +83,49 @@ void expect_same_evaluation(const ProgramEvaluation& a,
 TEST(GradingSession, EvaluationIdenticalAcrossCacheEngineAndThreads) {
   const Fixture& f = fixture();
 
-  EvalOptions base_options = small_options();
-  base_options.sim.engine = fault::Engine::kEvent;
+  const EvalOptions options = small_options();
   GradingSession base_session(f.model, {.num_threads = 1});
   const ProgramEvaluation baseline =
-      evaluate_program(base_session, f.builder, f.program, base_options);
+      evaluate_program(base_session, f.builder, f.program, options);
   EXPECT_GT(baseline.overall_fc(), 0.0);
 
   for (bool cache : {true, false}) {
-    for (fault::Engine engine :
-         {fault::Engine::kReference, fault::Engine::kCompiled,
-          fault::Engine::kEvent}) {
-      for (unsigned threads : {1u, 2u, 8u}) {
-        const std::string what = std::string("cache=") +
-                                 (cache ? "on" : "off") + " engine=" +
-                                 fault::engine_name(engine) + " threads=" +
-                                 std::to_string(threads);
-        EvalOptions options = small_options();
-        options.sim.engine = engine;
-        GradingSession session(f.model,
-                               {.num_threads = threads, .cache = cache});
-        const ProgramEvaluation ev =
-            evaluate_program(session, f.builder, f.program, options);
-        expect_same_evaluation(baseline, ev, what);
-      }
+    for (unsigned threads : {1u, 2u, 8u}) {
+      const std::string what = std::string("cache=") +
+                               (cache ? "on" : "off") +
+                               " threads=" + std::to_string(threads);
+      GradingSession session(f.model,
+                             {.num_threads = threads, .cache = cache});
+      const ProgramEvaluation ev =
+          evaluate_program(session, f.builder, f.program, options);
+      expect_same_evaluation(baseline, ev, what);
     }
   }
+
+  // The routines' own CUTs against the one-fault-at-a-time oracles, on the
+  // stimulus a traced run of the same program captures.
+  TraceCollector trace(f.model);
+  trace.set_regfile_cycle_cap(options.regfile_cycle_cap);
+  trace.set_pipeline_cycle_cap(options.pipeline_cycle_cap);
+  sim::Cpu cpu(options.cpu);
+  cpu.reset();
+  cpu.load(f.program.image);
+  cpu.set_hooks(&trace);
+  ASSERT_TRUE(cpu.run(f.program.entry, options.max_instructions).halted);
+  const ObserveMode mode = observe_mode(options);
+  const ComponentInfo& alu = f.model.component(CutId::kAlu);
+  EXPECT_EQ(fault::simulate_serial(
+                alu.netlist, base_session.universe(CutId::kAlu).collapsed(),
+                trace.alu_patterns(), base_session.observe(CutId::kAlu, mode))
+                .detected_flags,
+            baseline.cut(CutId::kAlu).coverage.detected_flags);
+  const ComponentInfo& mem = f.model.component(CutId::kMemCtrl);
+  EXPECT_EQ(fault::grade_seq_oracle(
+                mem.netlist, base_session.universe(CutId::kMemCtrl).collapsed(),
+                trace.memctrl_stimulus(),
+                base_session.observe(CutId::kMemCtrl, mode))
+                .detected_flags,
+            baseline.cut(CutId::kMemCtrl).coverage.detected_flags);
 }
 
 TEST(GradingSession, LegacyOverloadMatchesSessionForm) {

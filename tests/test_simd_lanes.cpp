@@ -3,15 +3,16 @@
 // At W=4 every net carries a 4-word block of 256 lanes; a grading pass packs
 // the good machine in lane 0 and up to 255 faulty machines in the rest. The
 // oracle for per-word semantics is the W=1 reference Evaluator driven with
-// each word separately; the oracle for detection flags is the serial
-// reference grading. Both must match bitwise for every lane width, thread
-// count, and session-cache setting.
+// each word separately; the oracles for detection flags are the
+// one-fault-at-a-time gradings of comb_oracle.hpp / seq_oracle.hpp. Both
+// must match bitwise for every thread count and session-cache setting.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "comb_oracle.hpp"
 #include "common/rng.hpp"
 #include "core/component.hpp"
 #include "core/session.hpp"
@@ -23,12 +24,12 @@
 #include "netlist/eval.hpp"
 #include "rtlgen/alu.hpp"
 #include "rtlgen/divider.hpp"
+#include "seq_oracle.hpp"
 
 namespace sbst::netlist {
 namespace {
 
 using fault::CoverageResult;
-using fault::Engine;
 using fault::Fault;
 using fault::FaultUniverse;
 using fault::PatternSet;
@@ -127,8 +128,8 @@ TEST(SimdLanes, BlockEvalMatchesReferencePerWord) {
     Evaluator o0(nl), o1(nl), o2(nl), o3(nl);
     const std::vector<Evaluator*> oracles{&o0, &o1, &o2, &o3};
     const CompiledNetlist cn(nl);
-    Block4 full(cn, /*event_driven=*/false);
-    Block4 event(cn, /*event_driven=*/true);
+    Block4 full(cn);
+    Block4 event(cn);
 
     for (int iter = 0; iter < 25; ++iter) {
       for (NetId in : nl.inputs()) {
@@ -141,6 +142,7 @@ TEST(SimdLanes, BlockEvalMatchesReferencePerWord) {
         event.set_input_block(in, words);
       }
       for (Evaluator* o : oracles) o->eval();
+      full.request_full_eval();
       full.eval();
       event.eval();
       expect_words_match(oracles, full, "full");
@@ -157,7 +159,7 @@ TEST(SimdLanes, InjectLaneTargetsExactlyOneLane) {
   nl.output("y", y);
 
   for (unsigned lane : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 254u, 255u}) {
-    Block4 ev(nl, /*event_driven=*/true);
+    Block4 ev(nl);
     const std::uint64_t zeros[4] = {0, 0, 0, 0};
     ev.set_input_block(a, zeros);
     ev.eval();
@@ -187,7 +189,7 @@ TEST(SimdLanes, DiffWordBroadcastsTheReferenceLane) {
   const NetId a = nl.input("a");
   nl.output("y", nl.not_(a));
 
-  Block4 ev(nl, /*event_driven=*/false);
+  Block4 ev(nl);
   const std::uint64_t words[4] = {0x1ULL, 0x0ULL, ~std::uint64_t{0}, 0xF0ULL};
   ev.set_input_block(a, words);
   ev.eval();
@@ -207,7 +209,7 @@ TEST(SimdLanes, SeqStepMatchesReferencePerWord) {
   const Netlist nl = random_seq_netlist(rng, 5, 5, 50);
   Evaluator o0(nl), o1(nl), o2(nl), o3(nl);
   const std::vector<Evaluator*> oracles{&o0, &o1, &o2, &o3};
-  Block4 event(nl, /*event_driven=*/true);
+  Block4 event(nl);
 
   for (bool init : {false, true}) {
     for (Evaluator* o : oracles) o->reset_state(init);
@@ -229,9 +231,8 @@ TEST(SimdLanes, SeqStepMatchesReferencePerWord) {
 }
 
 TEST(SimdLanes, FaultInjectionMatchesReferencePerWordWithOpt) {
-  // Single collapsed faults on the W=4 evaluator with the optimization
-  // passes on: every word still matches a per-word reference oracle on the
-  // output nets.
+  // Single collapsed faults on the W=4 evaluator: every word matches a
+  // per-word reference oracle on every net.
   Rng rng(47);
   const Netlist nl = random_comb_netlist(rng, 6, 90);
   const FaultUniverse u(nl);
@@ -240,8 +241,7 @@ TEST(SimdLanes, FaultInjectionMatchesReferencePerWordWithOpt) {
 
   Evaluator o0(nl), o1(nl), o2(nl), o3(nl);
   const std::vector<Evaluator*> oracles{&o0, &o1, &o2, &o3};
-  const CompiledNetlist cn(nl, CompileOptions::all());
-  Block4 event(cn, /*event_driven=*/true);
+  Block4 event(nl);
 
   for (int iter = 0; iter < 60; ++iter) {
     for (NetId in : nl.inputs()) {
@@ -261,18 +261,13 @@ TEST(SimdLanes, FaultInjectionMatchesReferencePerWordWithOpt) {
     event.inject_block(f.site, f.stuck_value, block_mask);
     for (Evaluator* o : oracles) o->eval();
     event.eval();
-    for (unsigned w = 0; w < 4; ++w) {
-      for (NetId out : nl.output_nets()) {
-        ASSERT_EQ(oracles[w]->value(out), event.value_word(out, w))
-            << "word " << w << " out " << out;
-      }
-    }
+    expect_words_match(oracles, event, "fault");
     for (Evaluator* o : oracles) o->clear_faults();
     event.clear_faults();
   }
 }
 
-// ---- grading equivalence across the full configuration matrix --------------
+// ---- grading equivalence: production vs the oracles ------------------------
 
 TEST(SimdLanes, GradingFlagsIdenticalAcrossLaneWidthsAndThreads) {
   Rng rng(48);
@@ -281,23 +276,12 @@ TEST(SimdLanes, GradingFlagsIdenticalAcrossLaneWidthsAndThreads) {
   PatternSet ps(nl);
   for (int i = 0; i < 130; ++i) ps.add_random(rng);
 
-  const CoverageResult oracle =
-      fault::simulate_serial(nl, u.collapsed(), ps, {}, Engine::kReference);
-  for (unsigned lanes : {1u, 4u}) {
-    for (unsigned threads : {1u, 2u, 8u}) {
-      for (int netlist_opt : {0, 1}) {
-        SimOptions opt;
-        opt.num_threads = threads;
-        opt.engine = Engine::kEvent;
-        opt.lanes = lanes;
-        opt.netlist_opt = netlist_opt;
-        const CoverageResult got =
-            fault::simulate_comb_parallel(nl, u.collapsed(), ps, {}, opt);
-        EXPECT_EQ(oracle.detected_flags, got.detected_flags)
-            << "lanes " << lanes << " threads " << threads << " opt "
-            << netlist_opt;
-      }
-    }
+  const CoverageResult oracle = fault::simulate_serial(nl, u.collapsed(), ps);
+  for (unsigned threads : {1u, 2u, 8u}) {
+    const CoverageResult got = fault::simulate_comb_parallel(
+        nl, u.collapsed(), ps, {}, {.num_threads = threads});
+    EXPECT_EQ(oracle.detected_flags, got.detected_flags)
+        << "threads " << threads;
   }
 }
 
@@ -313,26 +297,18 @@ TEST(SimdLanes, SeqGradingFlagsIdenticalAcrossLaneWidths) {
     }
     st.add_cycle(values, rng.chance(0.7));
   }
-  const CoverageResult oracle =
-      fault::simulate_seq(nl, u.collapsed(), st, {}, Engine::kReference);
-  for (unsigned lanes : {1u, 4u}) {
-    for (unsigned threads : {1u, 2u}) {
-      SimOptions opt;
-      opt.num_threads = threads;
-      opt.engine = Engine::kEvent;
-      opt.lanes = lanes;
-      opt.netlist_opt = 1;
-      const CoverageResult got =
-          fault::simulate_seq_parallel(nl, u.collapsed(), st, {}, opt);
-      EXPECT_EQ(oracle.detected_flags, got.detected_flags)
-          << "lanes " << lanes << " threads " << threads;
-    }
+  const CoverageResult oracle = fault::grade_seq_oracle(nl, u.collapsed(), st);
+  for (unsigned threads : {1u, 2u}) {
+    const CoverageResult got = fault::simulate_seq_parallel(
+        nl, u.collapsed(), st, {}, {.num_threads = threads});
+    EXPECT_EQ(oracle.detected_flags, got.detected_flags)
+        << "threads " << threads;
   }
 }
 
 TEST(SimdLanes, SessionGradingIdenticalAcrossLanesThreadsAndCache) {
-  // The acceptance matrix: lanes {1,4} x threads {1,2,8} x session cache
-  // {on,off}, graded through GradingSession's keyed compiled-netlist cache.
+  // The acceptance matrix: threads {1,2,8} x session cache {on,off}, graded
+  // through GradingSession's cached compiled netlist.
   core::ProcessorModel model;
   const core::CutId id = core::CutId::kAlu;
   const netlist::Netlist& nl = model.component(id).netlist;
@@ -348,62 +324,19 @@ TEST(SimdLanes, SessionGradingIdenticalAcrossLanesThreadsAndCache) {
     const fault::ObserveSet& obs =
         session.observe(id, core::ObserveMode::kFullNetlist);
     if (oracle_flags.empty()) {
-      oracle_flags = fault::simulate_comb(nl, u.collapsed(), ps, obs,
-                                          Engine::kReference)
-                         .detected_flags;
+      oracle_flags =
+          fault::simulate_serial(nl, u.collapsed(), ps, obs).detected_flags;
     }
-    for (unsigned lanes : {1u, 4u}) {
-      for (unsigned threads : {1u, 2u, 8u}) {
-        SimOptions opt;
-        opt.num_threads = threads;
-        opt.engine = Engine::kEvent;
-        opt.lanes = lanes;
-        opt.netlist_opt = 1;
-        opt.compiled = &session.compiled(id, CompileOptions::all());
-        const CoverageResult got = fault::simulate_comb_parallel(
-            nl, u.collapsed(), ps, obs, opt);
-        EXPECT_EQ(oracle_flags, got.detected_flags)
-            << "cache " << cache << " lanes " << lanes << " threads "
-            << threads;
-      }
+    for (unsigned threads : {1u, 2u, 8u}) {
+      SimOptions opt;
+      opt.num_threads = threads;
+      opt.compiled = &session.compiled(id);
+      const CoverageResult got = fault::simulate_comb_parallel(
+          nl, u.collapsed(), ps, obs, opt);
+      EXPECT_EQ(oracle_flags, got.detected_flags)
+          << "cache " << cache << " threads " << threads;
     }
-    // The session cache must key compiled netlists by CompileOptions: a
-    // plain request after the optimized one returns a distinct build, not
-    // an alias.
-    const CompiledNetlist& opt_cn =
-        session.compiled(id, CompileOptions::all());
-    const CompiledNetlist& plain_cn = session.compiled(id, CompileOptions{});
-    EXPECT_NE(&opt_cn, &plain_cn);
-    EXPECT_GE(plain_cn.live_gates(), opt_cn.live_gates());
   }
-}
-
-TEST(SimdLanes, EngineContextResolvesLaneWidth) {
-  Rng rng(51);
-  const Netlist nl = random_comb_netlist(rng, 4, 30);
-  const std::vector<NetId> outs = nl.output_nets();
-  // Reference engine always grades at width 1 regardless of the request.
-  const fault::EngineContext ref(Engine::kReference, nl, outs, nullptr,
-                                 nullptr, 4);
-  EXPECT_EQ(ref.lanes(), 1u);
-  const fault::EngineContext ev4(Engine::kEvent, nl, outs, nullptr, nullptr,
-                                 4);
-  EXPECT_EQ(ev4.lanes(), 4u);
-  const fault::EngineContext ev1(Engine::kEvent, nl, outs, nullptr, nullptr,
-                                 1);
-  EXPECT_EQ(ev1.lanes(), 1u);
-}
-
-TEST(SimdLanes, ParseLanesAcceptsOnlySupportedWidths) {
-  unsigned lanes = 0;
-  EXPECT_TRUE(fault::parse_lanes("1", lanes));
-  EXPECT_EQ(lanes, 1u);
-  EXPECT_TRUE(fault::parse_lanes("4", lanes));
-  EXPECT_EQ(lanes, 4u);
-  EXPECT_FALSE(fault::parse_lanes("2", lanes));
-  EXPECT_FALSE(fault::parse_lanes("0", lanes));
-  EXPECT_FALSE(fault::parse_lanes("banana", lanes));
-  EXPECT_EQ(lanes, 4u);  // untouched on failure
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // wrong format version, wrong content hash all read as misses and trigger a
 // clean rebuild), artifact codec round-trips, and the store differential
 // guarantee — evaluate_program returns bitwise-identical results with the
-// store off, cold, or warm, for every engine / lane width / thread count.
+// store off, cold, or warm, for every thread count.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,6 +17,7 @@
 #include "common/hash.hpp"
 #include "common/serialize.hpp"
 #include "core/evaluate.hpp"
+#include "fault/engine.hpp"
 #include "store/artifact_store.hpp"
 
 namespace fs = std::filesystem;
@@ -409,26 +410,22 @@ TEST(ArtifactCodec, FaultUniverseRejectsMalformedImages) {
 
 TEST(ArtifactCodec, CompiledNetlistRoundTripAcrossOptions) {
   const netlist::Netlist& nl = alu_netlist();
-  for (const netlist::CompileOptions opts :
-       {netlist::CompileOptions{}, netlist::CompileOptions::all()}) {
-    const netlist::CompiledNetlist original(nl, opts);
-    common::ByteWriter w;
-    original.serialize(w);
-    const std::vector<std::uint8_t> image = w.bytes();
+  const netlist::CompiledNetlist original(nl);
+  common::ByteWriter w;
+  original.serialize(w);
+  const std::vector<std::uint8_t> image = w.bytes();
 
-    common::ByteReader r(image.data(), image.size());
-    const auto copy = netlist::CompiledNetlist::deserialize(nl, r);
-    ASSERT_NE(copy, nullptr);
-    EXPECT_EQ(copy->size(), original.size());
-    EXPECT_EQ(copy->live_gates(), original.live_gates());
-    EXPECT_EQ(copy->levels(), original.levels());
-    common::ByteWriter w2;
-    copy->serialize(w2);
-    EXPECT_EQ(w2.bytes(), image);
+  common::ByteReader r(image.data(), image.size());
+  const auto copy = netlist::CompiledNetlist::deserialize(nl, r);
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(copy->size(), original.size());
+  EXPECT_EQ(copy->levels(), original.levels());
+  common::ByteWriter w2;
+  copy->serialize(w2);
+  EXPECT_EQ(w2.bytes(), image);
 
-    common::ByteReader half(image.data(), image.size() / 2);
-    EXPECT_EQ(netlist::CompiledNetlist::deserialize(nl, half), nullptr);
-  }
+  common::ByteReader half(image.data(), image.size() / 2);
+  EXPECT_EQ(netlist::CompiledNetlist::deserialize(nl, half), nullptr);
 }
 
 TEST(ArtifactCodec, DecodedProgramRoundTrip) {
@@ -532,17 +529,6 @@ void expect_same_evaluation(const ProgramEvaluation& a,
   expect_same_exec(a.total, b.total, what + " total");
 }
 
-SessionOptions store_session_options(
-    std::shared_ptr<store::ArtifactStore> store, fault::Engine engine,
-    unsigned lanes, unsigned threads) {
-  SessionOptions sopts;
-  sopts.num_threads = threads;
-  sopts.lanes = lanes;
-  sopts.store = std::move(store);
-  (void)engine;  // engine rides in EvalOptions; lanes/threads in the session
-  return sopts;
-}
-
 TEST(StoreSession, ColdAndWarmAreBitwiseIdenticalToStoreOff) {
   const Fixture& f = fixture();
 
@@ -552,46 +538,37 @@ TEST(StoreSession, ColdAndWarmAreBitwiseIdenticalToStoreOff) {
       evaluate_program(base_session, f.builder, f.program, base_options);
   EXPECT_GT(baseline.overall_fc(), 0.0);
 
-  for (fault::Engine engine :
-       {fault::Engine::kCompiled, fault::Engine::kEvent}) {
-    for (unsigned lanes : {1u, 4u}) {
-      TempStoreDir dir(std::string("diff-") + fault::engine_name(engine) +
-                       "-" + std::to_string(lanes));
-      for (unsigned threads : {1u, 2u}) {
-        const std::string what = std::string("engine=") +
-                                 fault::engine_name(engine) + " lanes=" +
-                                 std::to_string(lanes) + " threads=" +
-                                 std::to_string(threads);
-        EvalOptions options = small_options();
-        options.sim.engine = engine;
+  TempStoreDir dir("diff");
+  for (unsigned threads : {1u, 2u}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    EvalOptions options = small_options();
 
-        // Cold pass: first thread count populates the store; warm pass
-        // reloads every artifact. Both must match the store-off baseline.
-        auto store = std::make_shared<store::ArtifactStore>(dir.str());
-        options.sim.store = store.get();
-        GradingSession session(
-            f.model, store_session_options(store, engine, lanes, threads));
-        const ProgramEvaluation ev =
-            evaluate_program(session, f.builder, f.program, options);
-        expect_same_evaluation(baseline, ev, what);
+    // Cold pass: first thread count populates the store; warm pass reloads
+    // every artifact. Both must match the store-off baseline.
+    auto store = std::make_shared<store::ArtifactStore>(dir.str());
+    options.sim.store = store.get();
+    GradingSession session(f.model,
+                           {.num_threads = threads, .store = store});
+    const ProgramEvaluation ev =
+        evaluate_program(session, f.builder, f.program, options);
+    expect_same_evaluation(baseline, ev, what);
 
-        const SessionStats stats = session.stats();
-        EXPECT_EQ(stats.store_loads,
-                  stats.store_hits + stats.store_misses + stats.store_invalid)
-            << what;
-        if (threads == 1u) {
-          // First run against this directory: everything missed and was
-          // written back.
-          EXPECT_GT(stats.store_misses, 0u) << what;
-          EXPECT_GT(stats.store_writes, 0u) << what;
-        } else {
-          // Warm run: the store-served artifacts are never rebuilt.
-          EXPECT_GT(stats.store_hits, 0u) << what;
-          EXPECT_EQ(stats.universe_builds, 0u) << what;
-          EXPECT_EQ(stats.decode_builds, 0u) << what;
-          EXPECT_EQ(stats.goodrun_builds, 0u) << what;
-        }
-      }
+    const SessionStats stats = session.stats();
+    EXPECT_EQ(stats.store_loads,
+              stats.store_hits + stats.store_misses + stats.store_invalid)
+        << what;
+    if (threads == 1u) {
+      // First run against this directory: everything missed and was
+      // written back.
+      EXPECT_GT(stats.store_misses, 0u) << what;
+      EXPECT_GT(stats.store_writes, 0u) << what;
+    } else {
+      // Warm run: the store-served artifacts are never rebuilt.
+      EXPECT_GT(stats.store_hits, 0u) << what;
+      EXPECT_EQ(stats.universe_builds, 0u) << what;
+      EXPECT_EQ(stats.compile_builds, 0u) << what;
+      EXPECT_EQ(stats.decode_builds, 0u) << what;
+      EXPECT_EQ(stats.goodrun_builds, 0u) << what;
     }
   }
 }
@@ -675,6 +652,40 @@ TEST(StoreSession, CodecRejectedPayloadCountsInvalidAndRebuilds) {
   EXPECT_EQ(u2.size(), u.size());
   EXPECT_EQ(session2.stats().store_hits, 1u);
   EXPECT_EQ(session2.stats().universe_builds, 0u);
+}
+
+TEST(StoreSession, PreBumpCompiledPayloadIsASilentMissAndGetsRebuilt) {
+  const Fixture& f = fixture();
+  TempStoreDir dir("compiled-v1");
+  auto store = std::make_shared<store::ArtifactStore>(dir.str());
+
+  // A compiled image stamped with the pre-bump format version 1, planted
+  // under the exact key the session probes today. The codec must reject it
+  // on the version word alone, without crashing; the session counts it
+  // invalid and rebuilds.
+  const netlist::Netlist& nl = f.model.component(CutId::kAlu).netlist;
+  common::ByteWriter w;
+  netlist::CompiledNetlist(nl).serialize(w);
+  std::vector<std::uint8_t> image = w.take();
+  ASSERT_EQ(image[0], netlist::CompiledNetlist::kSerialVersion);  // LE u32
+  image[0] = 1;
+  ASSERT_TRUE(store->save(fault::compiled_store_key(nl), image));
+
+  GradingSession session(f.model, {.num_threads = 1, .store = store});
+  const netlist::CompiledNetlist& cn = session.compiled(CutId::kAlu);
+  EXPECT_EQ(cn.size(), nl.size());
+  EXPECT_EQ(session.stats().store_invalid, 1u);
+  EXPECT_EQ(session.stats().compile_builds, 1u);
+  EXPECT_EQ(session.stats().store_hits, 0u);
+
+  // The rebuild rewrote the entry in the current format: a fresh session
+  // hits.
+  auto store2 = std::make_shared<store::ArtifactStore>(dir.str());
+  GradingSession warm(f.model, {.num_threads = 1, .store = store2});
+  EXPECT_EQ(warm.compiled(CutId::kAlu).size(), nl.size());
+  EXPECT_EQ(warm.stats().store_hits, 1u);
+  EXPECT_EQ(warm.stats().compile_builds, 0u);
+  EXPECT_EQ(warm.stats().store_invalid, 0u);
 }
 
 TEST(StoreSession, PatternsAccessorCachesAndPersists) {

@@ -21,17 +21,6 @@
 // Global options:
 //   --threads N / -j N   fault-simulation worker threads (also SBST_THREADS
 //                        env var; default: hardware concurrency)
-//   --engine NAME        evaluation engine: reference | compiled | event
-//                        (also SBST_ENGINE env var; default: event)
-//   --lanes N            lane-block width in 64-bit words for the compiled
-//                        engines: 1 or 4 (also SBST_LANES env var; default
-//                        4 = 256 patterns per combinational pass, 255
-//                        faults + good machine per sequential pass; results
-//                        are identical for every width)
-//   --netlist-opt / --no-netlist-opt
-//                        netlist-compile optimization passes (const prop,
-//                        inverter fusion, dead sweep; also SBST_NETLIST_OPT
-//                        env var; default on; results identical either way)
 //   --session-cache / --no-session-cache
 //                        reuse grading artifacts (fault universes, compiled
 //                        netlists, observe cones) across gradings (default
@@ -123,17 +112,6 @@ int usage() {
       "options: --threads N | -j N   fault-sim worker threads (env "
       "SBST_THREADS;\n"
       "                              default: hardware concurrency)\n"
-      "         --engine NAME        reference | compiled | event (env "
-      "SBST_ENGINE;\n"
-      "                              default: event)\n"
-      "         --lanes N            lane-block width in words: 1 | 4 (env "
-      "SBST_LANES;\n"
-      "                              default 4; identical results)\n"
-      "         --netlist-opt / --no-netlist-opt\n"
-      "                              netlist-compile optimization passes "
-      "(env\n"
-      "                              SBST_NETLIST_OPT; default on; identical "
-      "results)\n"
       "         --session-cache / --no-session-cache\n"
       "                              reuse grading artifacts across "
       "gradings\n"
@@ -266,8 +244,6 @@ GradingSession make_session(const ProcessorModel& model,
   SessionOptions sopts;
   sopts.num_threads = options.sim.num_threads;
   sopts.cache = options.session_cache;
-  sopts.lanes = options.sim.lanes;
-  sopts.netlist_opt = options.sim.netlist_opt;
   sopts.budget_factor = options.budget_factor;
   sopts.store = std::move(store);
   return GradingSession(model, sopts);
@@ -406,26 +382,6 @@ int main(int argc, char** argv) {
       char* end = nullptr;
       store_budget = std::strtoull(argv[++i], &end, 10);
       if (end == argv[i] || *end != '\0') return usage();
-    } else if (std::strcmp(a, "--engine") == 0 ||
-               std::strncmp(a, "--engine=", 9) == 0) {
-      const char* name = a[8] == '=' ? a + 9 : nullptr;
-      if (!name) {
-        if (i + 1 >= argc) return usage();
-        name = argv[++i];
-      }
-      if (!fault::parse_engine(name, options.sim.engine)) return usage();
-    } else if (std::strcmp(a, "--lanes") == 0 ||
-               std::strncmp(a, "--lanes=", 8) == 0) {
-      const char* value = a[7] == '=' ? a + 8 : nullptr;
-      if (!value) {
-        if (i + 1 >= argc) return usage();
-        value = argv[++i];
-      }
-      if (!fault::parse_lanes(value, options.sim.lanes)) return usage();
-    } else if (std::strcmp(a, "--netlist-opt") == 0) {
-      options.sim.netlist_opt = 1;
-    } else if (std::strcmp(a, "--no-netlist-opt") == 0) {
-      options.sim.netlist_opt = 0;
     } else if (std::strcmp(a, "--store") == 0 ||
                std::strncmp(a, "--store=", 8) == 0) {
       const char* value = a[7] == '=' ? a + 8 : nullptr;
