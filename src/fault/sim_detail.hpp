@@ -1,13 +1,13 @@
 // Grading kernels shared by sim.cpp and sim_parallel.cpp. Internal to
 // src/fault.
 //
-// Three kernels: combinational PPSFP (stuck-at and the windowed transient /
-// intermittent models), transition launch/capture pairs, and sequential
-// lane-packed batches. They are templated on the evaluator type (Ev::kWords
-// lane-block width) and follow a single-evaluator discipline — good-machine
-// pass, then per fault inject / eval / observe / clear_faults — which the
-// event-driven CompiledEvaluatorT turns into one fanout-cone propagation
-// plus an O(touched) revert per fault. `reach` (nullable) is the
+// Two kernels: combinational PPSFP (every fault model, each with its own
+// activation lanes: always, launch/capture pair, or windowed) and
+// sequential lane-packed batches. They are templated on the evaluator type
+// (Ev::kWords lane-block width) and follow a single-evaluator discipline —
+// good-machine pass, then per fault inject / eval / observe / clear_faults —
+// which the event-driven CompiledEvaluatorT turns into one fanout-cone
+// propagation plus an O(touched) revert per fault. `reach` (nullable) is the
 // output-cone prefilter: a fault whose site cannot structurally reach the
 // observe set is skipped, which cannot change its detection flag (it would
 // never be detected anyway).
@@ -38,16 +38,6 @@ ObserveSet resolve_observe(const netlist::Netlist& nl,
                            const ObserveSet& observe);
 
 void require_combinational(const netlist::Netlist& nl, const char* who);
-
-/// Loads pattern block `b` (64 packed patterns) into the evaluator's inputs.
-template <class Ev>
-void apply_block(Ev& ev, const PatternSet& patterns, std::size_t b) {
-  const auto& words = patterns.block(b);
-  const auto& inputs = patterns.netlist().inputs();
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    ev.set_input_word(inputs[k], words[k]);
-  }
-}
 
 /// Loads pattern blocks [b0, b0 + Ev::kWords) into the words of the
 /// evaluator's lane blocks — 64 * kWords patterns per eval. Trailing
@@ -96,12 +86,19 @@ GoodResponses comb_good_responses(Ev& ev, const PatternSet& patterns,
 /// block group (Ev::kWords blocks of 64 patterns), one good-machine eval,
 /// then one faulty eval per still-undetected fault, compared against the
 /// precomputed `good` responses. A fault is forced only in its activation
-/// lanes — every valid lane for stuck-at, the lanes where its activation
-/// stream is on for transient-SEU / intermittent — and a fault dormant for
-/// the whole group is not evaluated at all. Faults already flagged on entry
-/// (e.g. pre-dropped by an ATPG loop) are skipped, and the kernel stops
-/// once every fault of the slice is detected. Flags are independent of
-/// kWords: grouping only changes how many patterns each eval carries.
+/// lanes, and a fault dormant for the whole group is not evaluated at all:
+///  * stuck-at: every valid lane;
+///  * transient-SEU / intermittent: the lanes where its activation stream
+///    is on;
+///  * transition: the capture lanes of a launch/capture pair — the good
+///    line carries the pre-transition value sv at pattern p - 1 and !sv at
+///    p, so forcing sv at p is the delayed transition. The good line value
+///    is read off the good-machine eval; the launch bit of lane 63 carries
+///    into lane 0 of the next word (and block group).
+/// Faults already flagged on entry (e.g. pre-dropped by an ATPG loop) are
+/// skipped, and the kernel stops once every fault of the slice is detected.
+/// Flags are independent of kWords: grouping only changes how many patterns
+/// each eval carries.
 template <class Ev>
 void grade_comb_blocks(Ev& ev, const std::vector<Fault>& faults,
                        std::size_t begin, std::size_t end,
@@ -110,13 +107,18 @@ void grade_comb_blocks(Ev& ev, const std::vector<Fault>& faults,
                        std::uint8_t* flags) {
   constexpr unsigned W = Ev::kWords;
   if (begin >= end) return;
-  const bool windowed = faults[begin].model != FaultModel::kStuckAt;
+  const FaultModel model = faults[begin].model;
+  const bool transition = model == FaultModel::kTransition;
+  const bool windowed = model != FaultModel::kStuckAt && !transition;
   std::vector<std::uint64_t> keys(windowed ? end - begin : 0);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     keys[i] = fault_stream_key(faults[begin + i]);
   }
+  // Launch bit of the previous word's lane 63, per transition fault.
+  std::vector<std::uint64_t> carry(transition ? end - begin : 0);
   std::size_t undetected = 0;
   for (std::size_t f = begin; f < end; ++f) undetected += flags[f] ? 0 : 1;
+  const netlist::Netlist& nl = patterns.netlist();
   const std::size_t n_blocks = patterns.block_count();
   std::uint64_t valid[W];
   for (std::size_t b = 0; b < n_blocks && undetected > 0; b += W) {
@@ -127,18 +129,35 @@ void grade_comb_blocks(Ev& ev, const std::vector<Fault>& faults,
     ev.eval();  // good-machine baseline the faulty evals branch from
     for (std::size_t f = begin; f < end; ++f) {
       if (flags[f]) continue;  // fault dropping
-      if (reach && !reach[faults[f].site.gate]) continue;
+      const Fault& fault = faults[f];
+      if (reach && !reach[fault.site.gate]) continue;
       std::uint64_t act[W];
       std::uint64_t any = 0;
-      for (unsigned w = 0; w < W; ++w) {
-        act[w] = windowed ? fault_active_word(keys[f - begin],
-                                              faults[f].model, b + w) &
-                                valid[w]
-                          : valid[w];
-        any |= act[w];
+      if (transition) {
+        const netlist::NetId line =
+            fault.site.is_output()
+                ? fault.site.gate
+                : nl.gate(fault.site.gate).in[fault.site.pin];
+        std::uint64_t& c = carry[f - begin];
+        for (unsigned w = 0; w < W; ++w) {
+          const std::uint64_t lv = ev.value_word(line, w);
+          const std::uint64_t at_sv = fault.stuck_value ? lv : ~lv;
+          const std::uint64_t launch = at_sv & valid[w];
+          act[w] = ~at_sv & valid[w] & ((launch << 1) | c);  // capture lanes
+          c = launch >> 63;
+          any |= act[w];
+        }
+      } else {
+        for (unsigned w = 0; w < W; ++w) {
+          act[w] = windowed ? fault_active_word(keys[f - begin], model,
+                                                b + w) &
+                                  valid[w]
+                            : valid[w];
+          any |= act[w];
+        }
       }
       if (any == 0) continue;  // fault dormant for this whole block group
-      ev.inject_block(faults[f].site, faults[f].stuck_value, act);
+      ev.inject_block(fault.site, fault.stuck_value, act);
       ev.eval();
       bool det = false;
       for (std::size_t o = 0; o < observe.size() && !det; ++o) {
@@ -361,95 +380,6 @@ void grade_seq_batches(Ev& ev, const std::vector<Fault>& faults,
 /// The (single) model of a homogeneous fault list; throws std::invalid_argument
 /// on mixed lists. Empty lists grade as stuck-at (all paths no-op anyway).
 FaultModel list_model(const std::vector<Fault>& faults);
-
-// ---- transition grading ----------------------------------------------------
-
-/// Fault-free per-block net values and observe-point responses, precomputed
-/// once per grading with the reference Evaluator and shared read-only by
-/// every chunk task. Transition grading reads the good value of each
-/// faulted LINE from here for launch/capture pairing.
-struct TransitionBaseline {
-  std::vector<std::vector<std::uint64_t>> vals;  // [block][net]
-  std::vector<std::vector<std::uint64_t>> out;   // [block][observe index]
-};
-
-TransitionBaseline make_transition_baseline(const netlist::Netlist& nl,
-                                            const PatternSet& patterns,
-                                            const ObserveSet& observe);
-
-/// Transition grading of faults [begin, end) against a precomputed baseline,
-/// block-major so the evaluator pays one stimulus propagation per block
-/// group. Bitwise-identical flags to the legacy simulate_transition: per
-/// block, launch lanes carry the fault-free value sv, capture lanes carry
-/// !sv AND the equivalent stuck-at-sv is observed; a fault is detected by a
-/// launch at global pattern L and capture at L + 1 (lane 63 chains into lane
-/// 0 of the next block, and across group words, via prev_msb).
-template <class Ev>
-void grade_transition_blocks(Ev& ev, const std::vector<Fault>& faults,
-                             std::size_t begin, std::size_t end,
-                             const PatternSet& patterns,
-                             const ObserveSet& observe,
-                             const TransitionBaseline& baseline,
-                             const std::uint8_t* reach, std::uint8_t* flags) {
-  constexpr unsigned W = Ev::kWords;
-  const netlist::Netlist& nl = patterns.netlist();
-  const std::size_t n_blocks = patterns.block_count();
-  if (patterns.size() < 2) return;
-
-  // Per-fault cross-block state: the launch bit of the previous block's
-  // lane 63 (blocks are visited strictly in order, so one word suffices).
-  std::vector<std::uint8_t> prev_msb(end - begin, 0);
-  std::size_t undetected = end - begin;
-  std::uint64_t valid[W];
-  for (std::size_t b = 0; b < n_blocks && undetected > 0; b += W) {
-    for (unsigned w = 0; w < W; ++w) {
-      valid[w] = b + w < n_blocks ? patterns.valid_lanes(b + w) : 0;
-    }
-    apply_block_group(ev, patterns, b);
-    ev.eval();  // good-machine baseline the faulty evals branch from
-    for (std::size_t f = begin; f < end; ++f) {
-      if (flags[f]) continue;  // fault dropping
-      const Fault& fault = faults[f];
-      const bool sv = fault.stuck_value;  // captured (faulty) value
-      const netlist::NetId line =
-          fault.site.is_output() ? fault.site.gate
-                                 : nl.gate(fault.site.gate).in[fault.site.pin];
-      std::uint64_t launch[W], capture_value[W];
-      std::uint64_t any_capture = 0;
-      for (unsigned w = 0; w < W; ++w) {
-        const std::uint64_t lv =
-            valid[w] ? baseline.vals[b + w][line] : 0;
-        launch[w] = (sv ? lv : ~lv) & valid[w];
-        capture_value[w] = (sv ? ~lv : lv) & valid[w];
-        any_capture |= capture_value[w];
-      }
-      std::uint64_t detect[W] = {};
-      const bool reachable = !reach || reach[fault.site.gate];
-      if (any_capture != 0 && reachable) {
-        ev.inject_broadcast(fault.site, sv);
-        ev.eval();
-        for (std::size_t o = 0; o < observe.size(); ++o) {
-          for (unsigned w = 0; w < W; ++w) {
-            if (valid[w] == 0) continue;  // padded word: no baseline row
-            detect[w] |=
-                baseline.out[b + w][o] ^ ev.value_word(observe[o], w);
-          }
-        }
-        ev.clear_faults();
-      }
-      std::uint8_t msb = prev_msb[f - begin];
-      for (unsigned w = 0; w < W; ++w) {
-        const std::uint64_t capture = capture_value[w] & detect[w];
-        if (((launch[w] << 1) & capture) || (msb && (capture & 1u))) {
-          flags[f] = 1;
-        }
-        msb = static_cast<std::uint8_t>((launch[w] >> 63) & 1u);
-      }
-      prev_msb[f - begin] = msb;
-      if (flags[f]) --undetected;
-    }
-  }
-}
 
 }  // namespace detail
 }  // namespace sbst::fault

@@ -40,25 +40,7 @@ void GradingPlan::add_comb(const EngineContext& ctx,
   if (faults.empty()) return;
   std::uint8_t* flags = out.detected_flags.data();
 
-  if (detail::list_model(faults) == FaultModel::kTransition) {
-    // The launch/capture pairing needs good LINE values — precomputed once
-    // here, shared read-only by every chunk task.
-    auto& baseline = transition_storage_.emplace_back(
-        detail::make_transition_baseline(ctx.netlist(), patterns,
-                                         ctx.observe()));
-    for (std::size_t begin = 0; begin < faults.size(); begin += kChunkFaults) {
-      const std::size_t end = std::min(begin + kChunkFaults, faults.size());
-      tasks_.push_back([&ctx, &faults, &patterns, &baseline, flags, begin,
-                        end] {
-        ctx.grade_with_evaluator([&](auto& ev) {
-          detail::grade_transition_blocks(ev, faults, begin, end, patterns,
-                                          ctx.observe(), baseline,
-                                          ctx.reach(), flags);
-        });
-      });
-    }
-    return;
-  }
+  detail::list_model(faults);  // throws on a mixed-model list
 
   // Fault-free responses, computed once here and shared read-only by every
   // chunk task of this grading.
@@ -117,7 +99,6 @@ std::vector<ThreadPool::TaskFailure> GradingPlan::run_capture(
   }
   tasks_.clear();
   good_storage_.clear();
-  transition_storage_.clear();
   return failures;
 }
 

@@ -109,9 +109,6 @@ class GradingPlan {
   // Fault-free responses for combinational gradings; deque keeps the
   // references captured by queued tasks stable.
   std::deque<detail::GoodResponses> good_storage_;
-  // Reference-evaluator baselines for transition gradings (same stable-
-  // reference contract as good_storage_).
-  std::deque<detail::TransitionBaseline> transition_storage_;
 };
 
 CoverageResult simulate_comb_parallel(const netlist::Netlist& nl,

@@ -557,8 +557,7 @@ RequestBudget budget_for(ServerState& st, const std::string& verb) {
     // verb stays unlimited — there is nothing to derive a deadline from.
     const double wall = st.cached_wall(verb);
     if (wall > 0) {
-      ms = std::max(kMinAutoDeadlineMs,
-                    st.options.deadline_factor * wall * 1e3);
+      ms = std::max(kMinAutoDeadlineMs, kAutoDeadlineFactor * wall * 1e3);
     }
   }
   if (ms > 0) {

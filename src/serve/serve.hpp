@@ -94,13 +94,11 @@ struct ServeOptions {
   /// Per-request wall-clock deadline in milliseconds (--request-deadline).
   /// 0 = unlimited (the default); a positive value applies to every work
   /// request; negative = "auto": each verb's deadline is derived from the
-  /// cached wall time of its last completed good run (deadline_factor ×
+  /// cached wall time of its last completed good run (kAutoDeadlineFactor ×
   /// that, floored at kMinAutoDeadlineMs), mirroring the campaign
   /// watchdog's k × good-run budget at the request level. The first run of
   /// a verb is unlimited (nothing cached yet).
   double request_deadline_ms = 0;
-  /// Multiplier for auto deadlines (k in k × cached good wall time).
-  double deadline_factor = 8.0;
   /// Write-ahead journal file (--journal). Empty = unjournaled. Open
   /// failures degrade to an unjournaled daemon with one stderr warning.
   std::string journal_path;
@@ -110,6 +108,8 @@ struct ServeOptions {
   bool replay_journal = false;
 };
 
+/// Multiplier for auto deadlines (k in k × cached good wall time).
+inline constexpr double kAutoDeadlineFactor = 8.0;
 /// Floor for auto-derived deadlines (a verb measured at ~0 ms must not get
 /// an impossible budget).
 inline constexpr double kMinAutoDeadlineMs = 50.0;

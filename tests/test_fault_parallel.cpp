@@ -16,6 +16,7 @@
 #include "fault/sim.hpp"
 #include "fault/sim_parallel.hpp"
 #include "fault/thread_pool.hpp"
+#include "fault/transition.hpp"
 #include "seq_oracle.hpp"
 
 namespace sbst::fault {
@@ -211,21 +212,37 @@ TEST(FaultParallel, PatternCountsAroundLaneBoundary) {
   Rng rng(7);
   const Netlist nl = random_comb_netlist(rng, 5, 60);
   // Windowed faults too: their activation streams run on into the padded
-  // lanes of a partial block, which the kernel must mask off.
-  for (const FaultModel model : {FaultModel::kStuckAt,
-                                 FaultModel::kTransientSEU,
-                                 FaultModel::kIntermittent}) {
+  // lanes of a partial block, which the kernel must mask off. Transition
+  // pairs straddle word (64) and block-group (256) boundaries, where the
+  // kernel carries the launch bit of lane 63 over; the serial oracle throws
+  // on them, so their oracle is the reference simulate_transition. Each
+  // count runs on random patterns and on a stream held constant for runs of
+  // 64 patterns, whose only launch/capture pairs sit on those boundaries.
+  for (const FaultModel model :
+       {FaultModel::kStuckAt, FaultModel::kTransition,
+        FaultModel::kTransientSEU, FaultModel::kIntermittent}) {
     FaultUniverse u(nl, model);
     const auto& faults = u.collapsed();
-    for (std::size_t n_patterns : {1u, 63u, 64u, 65u, 130u}) {
+    for (std::size_t n_patterns :
+         {1u, 63u, 64u, 65u, 130u, 255u, 256u, 257u, 513u}) {
       Rng prng(1000 + n_patterns);
-      const PatternSet ps = random_patterns(prng, nl, n_patterns);
-      const CoverageResult oracle = simulate_serial(nl, faults, ps);
-      expect_same_flags(oracle, simulate_comb(nl, faults, ps), nl, faults,
-                        "simulate_comb");
-      const CoverageResult got =
-          simulate_comb_parallel(nl, faults, ps, {}, {.num_threads = 2});
-      expect_same_flags(oracle, got, nl, faults, "comb_parallel");
+      PatternSet held(nl);
+      for (std::size_t i = 0; i < n_patterns; ++i) {
+        Rng run(5000 + i / 64);
+        held.add_random(run);
+      }
+      for (const PatternSet& ps :
+           {random_patterns(prng, nl, n_patterns), held}) {
+        const CoverageResult oracle =
+            model == FaultModel::kTransition
+                ? simulate_transition(nl, enumerate_transition_faults(nl), ps)
+                : simulate_serial(nl, faults, ps);
+        expect_same_flags(oracle, simulate_comb(nl, faults, ps), nl, faults,
+                          "simulate_comb");
+        const CoverageResult got =
+            simulate_comb_parallel(nl, faults, ps, {}, {.num_threads = 2});
+        expect_same_flags(oracle, got, nl, faults, "comb_parallel");
+      }
     }
   }
 }

@@ -164,6 +164,54 @@ TEST(Serve, CampaignResponseMatchesOneShotRenderer) {
   EXPECT_EQ(seg[0], direct + "ok campaign\n");
 }
 
+// The "# cpu-stats:" lines of a stderr capture, in order.
+std::string cpu_stats_block(const std::string& err) {
+  std::string block;
+  std::size_t pos = 0;
+  while ((pos = err.find("# cpu-stats:", pos)) != std::string::npos) {
+    const std::size_t eol = err.find('\n', pos);
+    block += err.substr(pos, eol - pos) + "\n";
+    pos = eol == std::string::npos ? err.size() : eol + 1;
+  }
+  return block;
+}
+
+TEST(Serve, EvaluateResponseMatchesOneShotRendererAcrossModels) {
+  ServeOptions options = fast_options();
+  options.cpu_stats = true;
+  options.fault_models = {fault::FaultModel::kStuckAt,
+                          fault::FaultModel::kTransition};
+  const ServeResult r = run_script("evaluate\nquit\n", options);
+  EXPECT_EQ(r.status, 0);
+  const std::vector<std::string> seg = split_responses(r.out);
+  ASSERT_EQ(seg.size(), 2u);
+
+  core::SessionOptions sopts;
+  sopts.num_threads = options.sim.num_threads;
+  core::GradingSession session(model(), sopts);
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* out = open_memstream(&buf, &len);
+  char* err_buf = nullptr;
+  std::size_t err_len = 0;
+  std::FILE* err = open_memstream(&err_buf, &err_len);
+  const int status = render_evaluate(session, options.sim, options.cpu_stats,
+                                     out, err, options.fault_models);
+  std::fclose(out);
+  std::fclose(err);
+  EXPECT_EQ(status, 0);
+  const std::string direct(buf, len);
+  const std::string direct_err(err_buf, err_len);
+  std::free(buf);
+  std::free(err_buf);
+  EXPECT_NE(direct.find("| transition "), std::string::npos);
+  EXPECT_EQ(seg[0], direct + "ok evaluate\n");
+  // --cpu-stats: the CPU-time terms go to stderr, identically both ways.
+  EXPECT_NE(r.err.find("# cpu-stats: instructions "), std::string::npos);
+  EXPECT_NE(r.err.find("# cpu-stats: cpu cycles "), std::string::npos);
+  EXPECT_EQ(cpu_stats_block(r.err), cpu_stats_block(direct_err));
+}
+
 TEST(Serve, StatsReflectWorkAndStoreUsage) {
   const ServeResult r =
       run_script("campaign alu\nstats\nquit\n", fast_options());
@@ -400,6 +448,23 @@ TEST(Serve, ParseCutNameAndInjectableCut) {
   EXPECT_TRUE(injectable_cut(core::CutId::kMultiplier));
   EXPECT_FALSE(injectable_cut(core::CutId::kDivider));
   EXPECT_FALSE(injectable_cut(core::CutId::kControl));
+}
+
+TEST(Serve, ParseFaultModelList) {
+  using fault::FaultModel;
+  std::vector<FaultModel> out;
+  ASSERT_TRUE(parse_fault_model_list("transient,stuck-at,seu,transient", out));
+  EXPECT_EQ(out, (std::vector<FaultModel>{FaultModel::kTransientSEU,
+                                          FaultModel::kStuckAt}));
+  ASSERT_TRUE(parse_fault_model_list("intermittent", out));
+  EXPECT_EQ(out, std::vector<FaultModel>{FaultModel::kIntermittent});
+  // Rejections leave `out` as it was.
+  for (const char* bad : {"", ",", "stuck-at,", ",transition",
+                          "stuck-at,,transition", "stuck-at,bogus", "SEU"}) {
+    EXPECT_FALSE(parse_fault_model_list(bad, out)) << '"' << bad << '"';
+    EXPECT_EQ(out, std::vector<FaultModel>{FaultModel::kIntermittent})
+        << '"' << bad << '"';
+  }
 }
 
 }  // namespace
