@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   // The session hands each replay leg the shared predecoded image from its
   // content-addressed cache.
   core::ProcessorModel model;
-  core::GradingSession session(model, {.num_threads = 1});
+  core::GradingSession session(model, {.num_threads = 1, .store = nullptr});
 
   const Executor executors[] = {Executor::kInterpreter, Executor::kDecoded,
                                 Executor::kGuarded};

@@ -155,7 +155,7 @@ int main() {
   double subset_serial_s = 0, subset_pooled_s = 0;
   std::size_t subset_faults = 0, subset_detected = 0;
   {
-    GradingSession serial_session(model, {.num_threads = 1});
+    GradingSession serial_session(model, {.num_threads = 1, .store = nullptr});
     GradingSession pooled_session(model, {});
     for (CutId cut : {CutId::kMultiplier, CutId::kShifter}) {
       std::vector<fault::Fault> faults =

@@ -153,6 +153,7 @@ Routine make_random_instruction_routine(const RandomProgramOptions& options,
           .strategy = TpgStrategy::kPseudorandom,
           .style = "functional random (baseline)",
           .assembly = std::move(as),
+          .data_assembly = {},
           .sig_slot = 7,
           .pattern_count = emitted};
 }

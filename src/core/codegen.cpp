@@ -230,6 +230,7 @@ Routine make_alu_routine(const CodegenOptions& opts) {
           .strategy = TpgStrategy::kRegularDeterministic,
           .style = "RegD (L + I)",
           .assembly = as.take(),
+          .data_assembly = {},
           .sig_slot = 5,
           .pattern_count = tests.size()};
 }
@@ -284,6 +285,7 @@ Routine make_shifter_routine(const ProcessorModel& model,
           .strategy = TpgStrategy::kAtpgDeterministic,
           .style = "AtpgD (I)",
           .assembly = as.take(),
+          .data_assembly = {},
           .sig_slot = 4,
           .pattern_count = patterns};
 }
@@ -366,6 +368,7 @@ Routine make_multiplier_routine(const CodegenOptions& opts) {
           .strategy = TpgStrategy::kRegularDeterministic,
           .style = "RegD (L+I) + PR",
           .assembly = as.take(),
+          .data_assembly = {},
           .sig_slot = 0,
           .pattern_count = tests.size() + opts.lfsr_iterations / 2};
 }
@@ -425,6 +428,7 @@ Routine make_divider_routine(const CodegenOptions& opts) {
           .strategy = TpgStrategy::kRegularDeterministic,
           .style = "RegD (L + I)",
           .assembly = as.take(),
+          .data_assembly = {},
           .sig_slot = 1,
           .pattern_count = tests.size()};
 }
@@ -540,6 +544,7 @@ Routine make_regfile_routine(const CodegenOptions& opts) {
             .strategy = TpgStrategy::kRegularDeterministic,
             .style = "RegD (I)",
             .assembly = as.take(),
+            .data_assembly = {},
             .sig_slot = 2,
             .pattern_count = 3u * 31};
   return r;
@@ -606,9 +611,9 @@ Routine make_memctrl_routine(const CodegenOptions& opts) {
             .strategy = TpgStrategy::kRegularDeterministic,
             .style = "RegD (I)",
             .assembly = as.take(),
+            .data_assembly = "memtest_data:\n  .word 0, 0\n",
             .sig_slot = 3,
             .pattern_count = patterns};
-  r.data_assembly = "memtest_data:\n  .word 0, 0\n";
   return r;
 }
 
@@ -709,9 +714,9 @@ Routine make_control_routine(const CodegenOptions& opts) {
             .strategy = TpgStrategy::kFunctionalTest,
             .style = "FT",
             .assembly = as.take(),
+            .data_assembly = "ctrl_data:\n  .word 0\n",
             .sig_slot = 6,
             .pattern_count = rtlgen::all_instruction_opcodes().size()};
-  r.data_assembly = "ctrl_data:\n  .word 0\n";
   return r;
 }
 
@@ -744,6 +749,7 @@ Routine make_avc_address_routine(const CodegenOptions& opts,
           .strategy = TpgStrategy::kRegularDeterministic,
           .style = "RegD (I) A-VC",
           .assembly = as.take(),
+          .data_assembly = {},
           .sig_slot = 7,
           .pattern_count = patterns};
 }
@@ -773,6 +779,7 @@ Routine make_fig1_immediate_routine(const std::vector<AluOpnd>& tests,
           .style = compaction == Compaction::kMisr ? "AtpgD (I)"
                                                    : "AtpgD (I) xor",
           .assembly = as.take(),
+          .data_assembly = {},
           .sig_slot = 7,
           .pattern_count = tests.size()};
 }
@@ -844,6 +851,7 @@ Routine make_fig3_lfsr_routine(AluOp op, std::uint32_t seed_x,
           .strategy = TpgStrategy::kPseudorandom,
           .style = "PR (L)",
           .assembly = as.take(),
+          .data_assembly = {},
           .sig_slot = 7,
           .pattern_count = iterations};
 }
@@ -870,6 +878,7 @@ Routine make_fig4_regular_routine(AluOp op, const CodegenOptions& opts) {
           .strategy = TpgStrategy::kRegularDeterministic,
           .style = "RegD (L)",
           .assembly = as.take(),
+          .data_assembly = {},
           .sig_slot = 7,
           .pattern_count = 32u * 32u};
 }

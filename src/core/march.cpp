@@ -156,6 +156,7 @@ Routine make_march_regfile_routine(const MarchAlgorithm& algorithm,
           .strategy = TpgStrategy::kRegularDeterministic,
           .style = algorithm.name + " (I)",
           .assembly = std::move(as),
+          .data_assembly = {},
           .sig_slot = 7,
           .pattern_count = algorithm.ops_per_cell() * 30};
 }

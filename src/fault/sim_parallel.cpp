@@ -12,11 +12,15 @@ namespace sbst::fault {
 namespace {
 
 // Faults per fault-partitioned task: a multiple of the lane-packed batch
-// size (255 faults beside the good machine), so batches stay full; small
-// enough that static striding load-balances fault dropping, large enough to
-// amortize per-task evaluator construction. Never depends on the thread
-// count, so chunk boundaries — and therefore flags — stay deterministic.
+// size (255 faults beside the good machine); small enough that static
+// striding load-balances fault dropping, large enough to amortize per-task
+// evaluator construction. A sequential chunk is larger: its batches share
+// one pool of lanes, so the more batches it holds, the fewer batch-cycles
+// its faults take once gating frees their lanes. Neither depends on the
+// thread count, so chunk boundaries — and therefore flags — stay
+// deterministic.
 constexpr std::size_t kChunkFaults = (GradeEvaluator::kLanes - 1) * 3;
+constexpr std::size_t kSeqChunkFaults = (GradeEvaluator::kLanes - 1) * 12;
 
 /// Runs a plan on the external pool if one was lent in, else on a per-call
 /// pool sized by the usual num_threads resolution.
@@ -72,12 +76,28 @@ void GradingPlan::add_seq(const EngineContext& ctx,
         "GradingPlan::add_seq: transition faults are combinational-only "
         "(launch/capture pattern pairs); use add_comb");
   }
-  for (std::size_t begin = 0; begin < faults.size(); begin += kChunkFaults) {
-    const std::size_t end = std::min(begin + kChunkFaults, faults.size());
-    tasks_.push_back([&ctx, &faults, &stimulus, flags, begin, end] {
+  // The fault-free record depends only on the netlist and the stimulus, so
+  // every fault model graded on them in this plan shares one.
+  const detail::SeqGoodRecord* good = nullptr;
+  for (const SeqGood& g : seq_good_storage_) {
+    if (g.compiled == ctx.compiled() && g.stimulus == &stimulus) {
+      good = &g.record;
+    }
+  }
+  if (!good) {
+    netlist::CompiledEvaluator ev(*ctx.compiled());
+    good = &seq_good_storage_
+                .emplace_back(ctx.compiled(), &stimulus,
+                              detail::seq_good_record(ev, stimulus))
+                .record;
+  }
+  for (std::size_t begin = 0; begin < faults.size();
+       begin += kSeqChunkFaults) {
+    const std::size_t end = std::min(begin + kSeqChunkFaults, faults.size());
+    tasks_.push_back([&ctx, &faults, &stimulus, good, flags, begin, end] {
       ctx.grade_with_evaluator([&](auto& ev) {
-        detail::grade_seq_batches(ev, faults, begin, end, stimulus,
-                                  ctx.observe(), ctx.reach(), flags);
+        detail::grade_seq_gated(ev, faults, begin, end, stimulus, *good,
+                                ctx.observe(), ctx.reach(), flags);
       });
     });
   }
@@ -99,6 +119,7 @@ std::vector<ThreadPool::TaskFailure> GradingPlan::run_capture(
   }
   tasks_.clear();
   good_storage_.clear();
+  seq_good_storage_.clear();
   return failures;
 }
 

@@ -109,6 +109,14 @@ class GradingPlan {
   // Fault-free responses for combinational gradings; deque keeps the
   // references captured by queued tasks stable.
   std::deque<detail::GoodResponses> good_storage_;
+  // Fault-free records for sequential gradings, one per (compiled netlist,
+  // stimulus) pair.
+  struct SeqGood {
+    const netlist::CompiledNetlist* compiled;
+    const SeqStimulus* stimulus;
+    detail::SeqGoodRecord record;
+  };
+  std::deque<SeqGood> seq_good_storage_;
 };
 
 CoverageResult simulate_comb_parallel(const netlist::Netlist& nl,

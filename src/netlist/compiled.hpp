@@ -73,6 +73,9 @@ class CompiledNetlist {
   /// Number of combinational levels (sources are level 0).
   unsigned levels() const { return n_levels_; }
 
+  /// Every DFF, in id order: the order of save_state() snapshots.
+  const std::vector<NetId>& dffs() const { return dffs_; }
+
   /// Marks every gate in the transitive fanin of `roots` (roots included),
   /// traversing combinational edges and DFF D edges. A stuck-at fault at a
   /// gate outside this cone can never change a root's value, so fault

@@ -1,10 +1,11 @@
 // Independent sequential fault-grading oracle (test-only).
 //
-// The production kernel (detail::grade_seq_batches) packs faults into lanes,
-// batches them, exits early and moves surviving lanes between batches. This
-// oracle shares none of that: it runs the fault-free machine once on its own
-// reference Evaluator, then each fault alone on a fresh one through every
-// cycle of the stimulus. A windowed fault is forced exactly in the cycles
+// The production kernel (detail::grade_seq_gated) packs faults into lanes
+// only while they can differ from the good machine, batches them, exits
+// early and moves surviving lanes between batches. This oracle shares none
+// of that: it runs the fault-free machine once on its own reference
+// Evaluator, then each fault alone on a fresh one through every cycle of
+// the stimulus. A windowed fault is forced exactly in the cycles
 // its activation stream is on. Slow on purpose; meant for small CUTs.
 #pragma once
 

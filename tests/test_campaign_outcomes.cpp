@@ -165,7 +165,7 @@ TEST(StoreGuard, GoodMachineRunsToCompletionUnderBudgetAndGuard) {
 
 TEST(CampaignOutcomes, ShifterFaultsHangAndStayUnderLegacyCap) {
   CampaignFixture& f = fixture();
-  GradingSession session(f.model, {.num_threads = 2});
+  GradingSession session(f.model, {.num_threads = 2, .store = nullptr});
   const std::vector<fault::Fault> faults =
       first_faults(f.model, CutId::kShifter, 6);
   const std::vector<InjectionOutcome> out =
@@ -220,7 +220,8 @@ void expect_outcome_across_matrix(const ProcessorModel& model,
                                   RunOutcome expected) {
   for (unsigned threads : {1u, 2u, 8u}) {
     for (bool cache : {true, false}) {
-      GradingSession session(model, {.num_threads = threads, .cache = cache});
+      GradingSession session(
+          model, {.num_threads = threads, .cache = cache, .store = nullptr});
       const std::vector<InjectionOutcome> out =
           run_injection_campaign(session, p, CutId::kAlu, {fa});
       ASSERT_EQ(out.size(), 1u);
@@ -284,8 +285,9 @@ TEST(CampaignOutcomes, DeterministicAcrossThreadsAndCache) {
 
   for (unsigned threads : {1u, 2u, 8u}) {
     for (bool cache : {true, false}) {
-      GradingSession session(f.model,
-                             {.num_threads = threads, .cache = cache});
+      GradingSession session(
+          f.model,
+          {.num_threads = threads, .cache = cache, .store = nullptr});
       const std::vector<InjectionOutcome> out =
           run_injection_campaign(session, f.program, CutId::kAlu, faults);
       ASSERT_EQ(out.size(), reference.size());
@@ -308,7 +310,7 @@ TEST(CampaignOutcomes, DeterministicAcrossThreadsAndCache) {
 
 TEST(CampaignOutcomes, InvalidSiteIsInfraErrorOnlyForThatFault) {
   CampaignFixture& f = fixture();
-  GradingSession session(f.model, {.num_threads = 2});
+  GradingSession session(f.model, {.num_threads = 2, .store = nullptr});
   std::vector<fault::Fault> faults =
       first_faults(f.model, CutId::kMultiplier, 4);
   fault::Fault bogus;
@@ -366,7 +368,7 @@ TEST(CampaignOutcomes, InvalidSiteThrowsFromSingleInjection) {
 
 TEST(CampaignOutcomes, EvaluateClassifiesSampledFaultsPerCut) {
   CampaignFixture& f = fixture();
-  GradingSession session(f.model, {.num_threads = 2});
+  GradingSession session(f.model, {.num_threads = 2, .store = nullptr});
   EvalOptions options;
   options.regfile_cycle_cap = 32;
   options.pipeline_cycle_cap = 256;

@@ -63,7 +63,8 @@ TEST(Codegen, MisrSubroutineMatchesGoldenModel) {
   body += "  la $s6, signatures\n  sw $s2, 0($s6)\n";
   Routine r{.name = "misrtest", .target = CutId::kAlu,
             .strategy = TpgStrategy::kRegularDeterministic, .style = "t",
-            .assembly = body};
+            .assembly = body,
+            .data_assembly = {}};
   const RunResult run = run_routine(r);
   EXPECT_TRUE(run.stats.halted);
   EXPECT_EQ(run.signatures[0],

@@ -473,7 +473,7 @@ TEST(DecodedCoreDifferential, SessionProgramCachesHitAndStayValid) {
   builder.add_default_routines(model);
   const core::TestProgram program = builder.build();
 
-  core::GradingSession session(model, {.num_threads = 1});
+  core::GradingSession session(model, {.num_threads = 1, .store = nullptr});
   const auto d1 = session.decoded(program.image);
   const auto d2 = session.decoded(program.image);
   EXPECT_EQ(d1.get(), d2.get());
@@ -517,7 +517,8 @@ TEST(DecodedCoreDifferential, InjectionCampaignMatchesOracleAcrossThreads) {
 
   for (unsigned threads : {1u, 2u, 8u}) {
     SCOPED_TRACE(threads);
-    core::GradingSession session(model, {.num_threads = threads});
+    core::GradingSession session(model,
+                                 {.num_threads = threads, .store = nullptr});
     const std::vector<core::InjectionOutcome> out = run_injection_campaign(
         session, program, core::CutId::kMultiplier, faults);
     ASSERT_EQ(out.size(), oracle.size());
@@ -530,8 +531,8 @@ TEST(DecodedCoreDifferential, InjectionCampaignMatchesOracleAcrossThreads) {
   }
 
   // The cache-off session must produce identical results as well.
-  core::GradingSession uncached(model,
-                                {.num_threads = 2, .cache = false});
+  core::GradingSession uncached(
+      model, {.num_threads = 2, .cache = false, .store = nullptr});
   const std::vector<core::InjectionOutcome> out = run_injection_campaign(
       uncached, program, core::CutId::kMultiplier, faults);
   for (std::size_t i = 0; i < out.size(); ++i) {

@@ -535,7 +535,7 @@ TEST(FaultModelStore, ModelHeaderMismatchWithKeyIsInvalidAndRebuilt) {
 
 TEST(FaultModelSession, PerModelUniversesAreCachedSeparately) {
   const ProcessorModel model;
-  GradingSession session(model, {.num_threads = 1});
+  GradingSession session(model, {.num_threads = 1, .store = nullptr});
   const fault::FaultUniverse& sa = session.universe(CutId::kAlu);
   const fault::FaultUniverse& tr =
       session.universe(CutId::kAlu, fault::FaultModel::kTransition);

@@ -1,9 +1,11 @@
-// The sequential grading kernel (detail::grade_seq_batches) against an
-// independent oracle, plus deterministic work counts that pin its two cuts:
-// the early exit of a fully detected batch and lane compaction between
-// batches.
+// The activity-gated sequential grading kernel (detail::grade_seq_gated)
+// against an independent oracle, plus deterministic work counts that pin
+// its cuts: the early exit of a fully detected batch, lane compaction
+// between batches, and gating — a fault holds a lane only while its machine
+// can differ from the good one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -104,20 +106,22 @@ TEST(SeqKernel, MatchesIndependentOracleOnRtlgenCuts) {
   }
 }
 
-// ---- work counts: early exit and lane compaction ---------------------------
+// ---- work counts: early exit, lane compaction and gating -------------------
 
 /// Input `a` feeds a `length`-stage DFF chain observed at "late", `early`
-/// one-stage DFFs each observed at its own output, and one DFF ("hidden")
-/// that no observed output reads.
+/// one-stage DFFs each fed through its own buffer and observed at its own
+/// output, and one DFF ("hidden") that no observed output reads.
 struct DelayNet {
   Netlist nl{"delays"};
+  NetId a = netlist::kNoNet;
   std::vector<NetId> chain;
+  std::vector<NetId> early_in;  // the buffers in front of `early`
   std::vector<NetId> early;
   NetId hidden = netlist::kNoNet;
   std::vector<NetId> observe;
 
   DelayNet(unsigned length, unsigned n_early) {
-    const NetId a = nl.input("a");
+    a = nl.input("a");
     NetId prev = a;
     for (unsigned i = 0; i < length; ++i) {
       const NetId q = nl.dff();
@@ -128,7 +132,8 @@ struct DelayNet {
     nl.output("late", prev);
     for (unsigned i = 0; i < n_early; ++i) {
       const NetId q = nl.dff();
-      nl.connect_dff(q, a);
+      early_in.push_back(nl.buf(a));
+      nl.connect_dff(q, early_in.back());
       nl.output("e" + std::to_string(i), q);
       early.push_back(q);
     }
@@ -154,7 +159,7 @@ struct DelayNet {
 };
 
 /// Runs the kernel over faults [begin, end) on a fresh W=4 evaluator and
-/// returns its gate evaluations.
+/// returns its gate evaluations (the good-machine record is not counted).
 std::uint64_t kernel_gate_evals(const netlist::CompiledNetlist& cn,
                                 const std::vector<Fault>& faults,
                                 std::size_t begin, std::size_t end,
@@ -163,8 +168,10 @@ std::uint64_t kernel_gate_evals(const netlist::CompiledNetlist& cn,
                                 std::vector<std::uint8_t>& flags) {
   const std::vector<std::uint8_t> reach = cn.fanin_cone(observe);
   netlist::CompiledEvaluatorT<4> ev(cn);
-  detail::grade_seq_batches(ev, faults, begin, end, st, observe, reach.data(),
-                            flags.data());
+  const detail::SeqGoodRecord good = detail::seq_good_record(ev, st);
+  ev.reset_stats();
+  detail::grade_seq_gated(ev, faults, begin, end, st, good, observe,
+                          reach.data(), flags.data());
   return ev.gate_evals();
 }
 
@@ -174,10 +181,17 @@ std::vector<std::uint8_t> oracle_flags(const DelayNet& d,
   return grade_seq_oracle(d.nl, faults, st, d.observe).detected_flags;
 }
 
+Fault fault_at(NetId gate, std::uint8_t pin, bool stuck_value,
+               FaultModel model = FaultModel::kStuckAt) {
+  return Fault{netlist::Site{gate, pin}, stuck_value, model};
+}
+
 TEST(SeqKernelWork, FullyDetectedBatchStopsAtItsDetectionCycle) {
   // Every stuck-at-0 on the chain flips "late" in the first cycle the good
-  // machine drives it to 1: cycle kLength. The hidden DFF's fault is
-  // reach-excluded and must not keep the batch running.
+  // machine drives it to 1: cycle kLength. Stage i is first excited in
+  // cycle i + 1 and takes its lane in that cycle's segment; the batch runs
+  // cycles 0..kLength and no more. The hidden DFF's fault is reach-excluded
+  // and must not keep the batch running.
   constexpr unsigned kLength = 5;
   const DelayNet d(kLength, 0);
   const netlist::CompiledNetlist cn(d.nl);
@@ -196,8 +210,9 @@ TEST(SeqKernelWork, FullyDetectedBatchStopsAtItsDetectionCycle) {
     EXPECT_EQ(flags, oracle_flags(d, faults, st));
     EXPECT_EQ(flags.back(), 0);  // the hidden fault
   }
-  // Observed first at cycle 40: the batch finishes at its first observed
-  // cycle.
+  // Observed first at cycle 40: every chain fault keeps its lane (a
+  // diverged state downstream, or an excited last stage) and the batch
+  // finishes at its first observed cycle.
   {
     const SeqStimulus st = d.stimulus(cycles, {40, 50});
     std::vector<std::uint8_t> flags(faults.size(), 0);
@@ -218,23 +233,23 @@ TEST(SeqKernelWork, FullyDetectedBatchStopsAtItsDetectionCycle) {
 }
 
 TEST(SeqKernelWork, SecondBatchDissolvesIntoTheFirst) {
-  // Two full batches of 255 faults. Each holds 250 faults detected at
-  // cycle 1 and 5 chain faults detected at cycle kLength. After the first
-  // segment the 10 survivors fit in one batch, so the emptier batch
-  // dissolves into the other, which alone runs on to cycle kLength.
+  // Two full batches of 255 faults, all excited in the first segment. Each
+  // holds 254 early faults detected at cycle 1 and one chain fault (stage 0
+  // or 1) detected at cycle kLength. After the first segment the 2
+  // survivors fit in one batch, so the first batch dissolves into the
+  // second, which alone runs on to cycle kLength.
   constexpr std::size_t kBatch = 255;
   constexpr unsigned kLength = 40;
   static_assert(kLength >= detail::kSeqSegment);
-  const DelayNet d(kLength, 500);
+  static_assert(detail::kSeqSegment >= 3);  // stage 1 excited at cycle 2
+  const DelayNet d(kLength, 2 * (kBatch - 1));
   const netlist::CompiledNetlist cn(d.nl);
   std::vector<Fault> faults;
   for (std::size_t b = 0; b < 2; ++b) {
-    for (std::size_t i = 0; i < 250; ++i) {
-      faults.push_back(stuck_at_0(d.early[b * 250 + i]));
+    for (std::size_t i = 0; i < kBatch - 1; ++i) {
+      faults.push_back(stuck_at_0(d.early[b * (kBatch - 1) + i]));
     }
-    for (std::size_t i = 0; i < 5; ++i) {
-      faults.push_back(stuck_at_0(d.chain[b * 5 + i]));
-    }
+    faults.push_back(stuck_at_0(d.chain[b]));
   }
   ASSERT_EQ(faults.size(), 2 * kBatch);
   const SeqStimulus st = d.stimulus(60);
@@ -257,6 +272,105 @@ TEST(SeqKernelWork, SecondBatchDissolvesIntoTheFirst) {
                         cn.size());
   EXPECT_LT(merged, separate);
   EXPECT_EQ(together, expect);
+}
+
+TEST(SeqKernelWork, NeverExcitedFaultsTakeNoCycles) {
+  // `a` is 1 in every cycle, so its stuck-at-1 never changes a value. A
+  // fault on a DFF's D pin is never excited either: the evaluators latch D
+  // without its pin forces. Both sit in the observe cone.
+  const DelayNet d(3, 2);
+  const netlist::CompiledNetlist cn(d.nl);
+  const std::vector<Fault> faults{
+      fault_at(d.a, netlist::Site::kOutputPin, true),
+      fault_at(d.chain[0], 0, false),
+      fault_at(d.early[0], 0, false),
+  };
+  const SeqStimulus st = d.stimulus(30);
+  std::vector<std::uint8_t> flags(faults.size(), 0);
+  EXPECT_EQ(
+      kernel_gate_evals(cn, faults, 0, faults.size(), st, d.observe, flags),
+      0u);
+  EXPECT_EQ(flags, oracle_flags(d, faults, st));
+  EXPECT_EQ(flags, std::vector<std::uint8_t>(faults.size(), 0));
+}
+
+TEST(SeqKernelWork, TransientFaultIsEvictedAndReadmitted) {
+  // A transient stuck-at-0 on buffer i flips early DFF i for one cycle per
+  // firing: its state differs from the good machine's only in the cycle
+  // after it fires. Observed only at cycle kCycles - 1, it is detected iff
+  // it fires at kCycles - 2. Its lane is needed in a segment that holds a
+  // firing, or that starts right after one; in between, it is evicted.
+  constexpr std::size_t kCycles = 41;
+  constexpr std::size_t kS = detail::kSeqSegment;
+  const DelayNet d(1, 64);
+  const netlist::CompiledNetlist cn(d.nl);
+  std::vector<Fault> faults;
+  for (NetId b : d.early_in) {
+    faults.push_back(fault_at(b, netlist::Site::kOutputPin, false,
+                              FaultModel::kTransientSEU));
+  }
+  const SeqStimulus st = d.stimulus(kCycles, {kCycles - 1});
+  const std::vector<std::uint8_t> expect = oracle_flags(d, faults, st);
+
+  std::vector<std::uint8_t> all(faults.size(), 0);
+  kernel_gate_evals(cn, faults, 0, faults.size(), st, d.observe, all);
+  EXPECT_EQ(all, expect);
+
+  // The first detected fault, graded alone.
+  std::size_t f = 0;
+  while (f < faults.size() && !expect[f]) ++f;
+  ASSERT_LT(f, faults.size());
+  const std::uint64_t key = fault_stream_key(faults[f]);
+  auto fires = [&](std::size_t c) {
+    return fault_active(key, FaultModel::kTransientSEU, c);
+  };
+  ASSERT_TRUE(fires(kCycles - 2));
+  std::vector<bool> needed;
+  std::uint64_t cycles_run = 0;
+  for (std::size_t s = 0; s < kCycles; s += kS) {
+    const std::size_t e = std::min(kCycles, s + kS);
+    bool need = s > 0 && fires(s - 1);
+    for (std::size_t c = s; c < e; ++c) need = need || fires(c);
+    needed.push_back(need);
+    if (need) cycles_run += e - s;
+  }
+  // Needed, then not, then needed again: evicted and later re-admitted.
+  const auto first = std::find(needed.begin(), needed.end(), true);
+  const auto gap = std::find(first, needed.end(), false);
+  ASSERT_NE(std::find(gap, needed.end(), true), needed.end());
+
+  std::vector<std::uint8_t> alone(faults.size(), 0);
+  EXPECT_EQ(kernel_gate_evals(cn, faults, f, f + 1, st, d.observe, alone),
+            cycles_run * cn.size());
+  EXPECT_EQ(alone[f], 1);
+}
+
+TEST(SeqKernelWork, FreedLaneIsReusedByLaterExcitedFault) {
+  // One full batch: chain stage 0 (diverged from cycle 2 on, never
+  // detected within the stimulus) and 254 buffer faults detected at cycle
+  // 1, whose freed lanes keep a flipped DFF and a force in the evaluator.
+  // Chain stage kSeqSegment is first excited in the second segment and
+  // must reuse a freed lane — starting from the good state, unforced by
+  // the lane's previous fault — instead of opening a second batch.
+  constexpr std::size_t kS = detail::kSeqSegment;
+  static_assert(kS >= 2);  // stage kS is excited at cycle kS + 1 < 2 * kS
+  constexpr std::size_t kCycles = 3 * kS;  // "late" never rises
+  const DelayNet d(kCycles, 254);
+  const netlist::CompiledNetlist cn(d.nl);
+  std::vector<Fault> faults{stuck_at_0(d.chain[0])};
+  for (NetId b : d.early_in) faults.push_back(stuck_at_0(b));
+  faults.push_back(stuck_at_0(d.chain[kS]));
+  ASSERT_EQ(faults.size(), 256u);
+  const SeqStimulus st = d.stimulus(kCycles);
+  const std::vector<std::uint8_t> expect = oracle_flags(d, faults, st);
+  ASSERT_EQ(expect.front(), 0);
+  ASSERT_EQ(expect.back(), 0);
+
+  std::vector<std::uint8_t> flags(faults.size(), 0);
+  EXPECT_EQ(
+      kernel_gate_evals(cn, faults, 0, faults.size(), st, d.observe, flags),
+      kCycles * cn.size());
+  EXPECT_EQ(flags, expect);
 }
 
 }  // namespace

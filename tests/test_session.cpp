@@ -84,7 +84,7 @@ TEST(GradingSession, EvaluationIdenticalAcrossCacheEngineAndThreads) {
   const Fixture& f = fixture();
 
   const EvalOptions options = small_options();
-  GradingSession base_session(f.model, {.num_threads = 1});
+  GradingSession base_session(f.model, {.num_threads = 1, .store = nullptr});
   const ProgramEvaluation baseline =
       evaluate_program(base_session, f.builder, f.program, options);
   EXPECT_GT(baseline.overall_fc(), 0.0);
@@ -94,8 +94,9 @@ TEST(GradingSession, EvaluationIdenticalAcrossCacheEngineAndThreads) {
       const std::string what = std::string("cache=") +
                                (cache ? "on" : "off") +
                                " threads=" + std::to_string(threads);
-      GradingSession session(f.model,
-                             {.num_threads = threads, .cache = cache});
+      GradingSession session(
+          f.model,
+          {.num_threads = threads, .cache = cache, .store = nullptr});
       const ProgramEvaluation ev =
           evaluate_program(session, f.builder, f.program, options);
       expect_same_evaluation(baseline, ev, what);
@@ -131,7 +132,7 @@ TEST(GradingSession, EvaluationIdenticalAcrossCacheEngineAndThreads) {
 TEST(GradingSession, LegacyOverloadMatchesSessionForm) {
   const Fixture& f = fixture();
   const EvalOptions options = small_options();
-  GradingSession session(f.model, {.num_threads = 2});
+  GradingSession session(f.model, {.num_threads = 2, .store = nullptr});
   const ProgramEvaluation a =
       evaluate_program(session, f.builder, f.program, options);
   const ProgramEvaluation b =
@@ -141,7 +142,7 @@ TEST(GradingSession, LegacyOverloadMatchesSessionForm) {
 
 TEST(GradingSession, SecondEvaluationHitsTheCache) {
   const Fixture& f = fixture();
-  GradingSession session(f.model, {.num_threads = 2});
+  GradingSession session(f.model, {.num_threads = 2, .store = nullptr});
   const EvalOptions options = small_options();
 
   evaluate_program(session, f.builder, f.program, options);
@@ -166,7 +167,8 @@ TEST(GradingSession, SecondEvaluationHitsTheCache) {
 
 TEST(GradingSession, CacheOffRebuildsEveryTime) {
   const Fixture& f = fixture();
-  GradingSession session(f.model, {.num_threads = 1, .cache = false});
+  GradingSession session(
+      f.model, {.num_threads = 1, .cache = false, .store = nullptr});
   const fault::FaultUniverse& u1 = session.universe(CutId::kAlu);
   EXPECT_GT(u1.size(), 0u);
   session.universe(CutId::kAlu);

@@ -319,7 +319,8 @@ TEST(SimdLanes, SessionGradingIdenticalAcrossLanesThreadsAndCache) {
 
   std::vector<std::uint8_t> oracle_flags;
   for (bool cache : {true, false}) {
-    core::GradingSession session(model, {.num_threads = 2, .cache = cache});
+    core::GradingSession session(
+        model, {.num_threads = 2, .cache = cache, .store = nullptr});
     const FaultUniverse& u = session.universe(id);
     const fault::ObserveSet& obs =
         session.observe(id, core::ObserveMode::kFullNetlist);

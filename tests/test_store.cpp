@@ -533,7 +533,7 @@ TEST(StoreSession, ColdAndWarmAreBitwiseIdenticalToStoreOff) {
   const Fixture& f = fixture();
 
   EvalOptions base_options = small_options();
-  GradingSession base_session(f.model, {.num_threads = 1});
+  GradingSession base_session(f.model, {.num_threads = 1, .store = nullptr});
   const ProgramEvaluation baseline =
       evaluate_program(base_session, f.builder, f.program, base_options);
   EXPECT_GT(baseline.overall_fc(), 0.0);
@@ -578,7 +578,7 @@ TEST(StoreSession, CorruptStoreFallsBackToCleanRebuild) {
   TempStoreDir dir("corrupt");
   const EvalOptions options = small_options();
 
-  GradingSession base_session(f.model, {.num_threads = 2});
+  GradingSession base_session(f.model, {.num_threads = 2, .store = nullptr});
   const ProgramEvaluation baseline =
       evaluate_program(base_session, f.builder, f.program, options);
 
